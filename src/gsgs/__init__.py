@@ -12,7 +12,6 @@ from .conjugate import (
     PrecisionModel,
     build_conjugate_set,
     densify_precision,
-    draw_factored_noise,
     sample_along,
 )
 from .diagnostics import (
@@ -65,7 +64,6 @@ from .superres import (
     build_precision,
     exact_gibbs_reference,
     phantom,
-    po_perturbation,
     run_superres,
     sample_hyperparams,
     simulate_data,

@@ -1,7 +1,9 @@
 """Conjugate direction sets and exact Gaussian sampling along them.
 
-Given a precision operator Q in factored form, `build_conjugate_set` grows a
-set of unit directions that are mutually conjugate with respect to Q, and
+A precision is any object with ``dim``, ``b`` (= Q m), ``apply`` (Q x),
+``gradient`` (Q x - b) and ``draw_noise`` (one N(0, Q) draw); `PrecisionModel`
+is the generic one, in factored form. `build_conjugate_set` grows a set of
+unit directions that are mutually conjugate with respect to Q, and
 `sample_along` draws the exact Gaussian coefficients of the target
 N(m, Q^{-1}) along those directions. With a full set (as many directions as
 dimensions) one call produces an exact draw from the target; with fewer it is
@@ -81,21 +83,20 @@ class PrecisionModel:
         """Gradient of the quadratic potential: Q x - b = Q (x - m)."""
         return self.apply(x) - self.b
 
+    def draw_noise(self, rng):
+        """One draw from N(0, Q) using the factored form of Q.
 
-def draw_factored_noise(precision, rng):
-    """One draw from N(0, Q) using the factored form of Q.
-
-    eps = sum_k M_k^T (sqrt(w_k) * z_k) with z_k standard normal has
-    covariance sum_k M_k^T w_k M_k = Q exactly. Factors are visited in model
-    order, which fixes the stream layout for reproducibility.
-    """
-    out = None
-    for op, weights in precision.factors:
-        z = standard_normal_vector(rng, op.out_dim)
-        z *= np.sqrt(weights)
-        t = op.adjoint_apply(z)
-        out = t if out is None else out + t
-    return out
+        eps = sum_k M_k^T (sqrt(w_k) * z_k) with z_k standard normal has
+        covariance sum_k M_k^T w_k M_k = Q exactly. Factors are visited in
+        model order, which fixes the stream layout for reproducibility.
+        """
+        out = None
+        for op, weights in self.factors:
+            z = standard_normal_vector(rng, op.out_dim)
+            z *= np.sqrt(weights)
+            t = op.adjoint_apply(z)
+            out = t if out is None else out + t
+        return out
 
 
 def densify_precision(precision, max_entries=10_000_000):
@@ -130,10 +131,6 @@ class ConjugateSet:
     def __len__(self):
         return self.directions.shape[0]
 
-    @property
-    def size(self):
-        return self.directions.shape[0]
-
     def conjugacy_defect(self):
         """max over i != j of |d_i^T Q d_j| / sqrt(c_i c_j)."""
         if len(self) < 2:
@@ -145,24 +142,22 @@ class ConjugateSet:
         return float(off.max())
 
 
-def build_conjugate_set(precision, d1, n_dirs, candidate_rule="power"):
+def build_conjugate_set(precision, d1, n_dirs):
     """Grow up to ``n_dirs`` mutually conjugate unit directions from seed d1.
 
     Parameters
     ----------
-    precision : PrecisionModel
+    precision : PrecisionModel or any object with ``dim`` and ``apply``
     d1 : array
         Seed direction (kept first, normalized). Must be nonzero.
     n_dirs : int
         Requested number of directions, at most the space dimension.
-    candidate_rule : str
-        How the next raw candidate is produced. The only supported rule,
-        "power", multiplies the most recent direction by Q; each candidate is
-        then re-orthogonalized (two passes) against *all* kept directions in
-        the Q inner product. This full re-orthogonalization costs
-        O(n_dirs^2 * dim), negligible next to the operator applications for
-        the direction counts used here, and is numerically safer than a
-        two-term recurrence.
+
+    Each raw candidate is the most recent direction multiplied by Q; it is
+    then re-orthogonalized (two passes) against *all* kept directions in the
+    Q inner product. This full re-orthogonalization costs O(n_dirs^2 * dim),
+    negligible next to the operator applications for the direction counts
+    used here, and is numerically safer than a two-term recurrence.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated
@@ -175,8 +170,6 @@ def build_conjugate_set(precision, d1, n_dirs, candidate_rule="power"):
     IndefinitePrecisionError
         If the seed direction has non-positive curvature.
     """
-    if candidate_rule != "power":
-        raise ValueError(f"unknown candidate rule {candidate_rule!r}")
     n = precision.dim
     n_dirs = int(n_dirs)
     if n_dirs < 1:
@@ -190,8 +183,11 @@ def build_conjugate_set(precision, d1, n_dirs, candidate_rule="power"):
     if seed_norm == 0.0:
         raise DegenerateDirectionError("seed direction is zero")
 
-    dirs = np.empty((n_dirs, n))
-    qdirs = np.empty((n_dirs, n))
+    # One block for directions and their images: freed together, it leaves
+    # the C allocator one free region, which it keeps for the next call. Two
+    # separate blocks together crossed glibc's heap-trim threshold, so every
+    # call returned the pages to the OS and faulted them in again.
+    dirs, qdirs = np.empty((2, n_dirs, n))
     curv = np.empty(n_dirs)
 
     v = d1 / seed_norm

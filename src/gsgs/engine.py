@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conjugate import (
-    build_conjugate_set,
-    densify_precision,
-    draw_factored_noise,
-    sample_along,
-)
+from .conjugate import build_conjugate_set, densify_precision, sample_along
 from .errors import ConfigurationError, GsgsError, SizeCapError
 from .imgio import write_image_f64
 from .rng import RngState, standard_normal_vector
@@ -36,11 +31,9 @@ KRYLOV_CAP = 512
 class ThetaModel:
     """Hooks the engine needs from a concrete model.
 
-    Subclasses supply the theta conditional and the factored precision of
-    x | theta. ``perturbation_at`` may be overridden when a cheaper or
-    customized full-support noise law is available; the default draws
-    N(0, Q_theta) through the factored form, which is what the
-    guaranteed-convergence mode expects.
+    Subclasses supply the theta conditional and the precision of x | theta.
+    ``perturbation_at`` draws N(0, Q_theta) through the precision's own
+    ``draw_noise``, which is what the guaranteed-convergence mode expects.
     """
 
     def sample_theta(self, x, rng):
@@ -52,7 +45,7 @@ class ThetaModel:
     def perturbation_at(self, theta, rng, precision=None):
         if precision is None:
             precision = self.precision_at(theta)
-        return draw_factored_noise(precision, rng)
+        return precision.draw_noise(rng)
 
     def theta_scalars(self, theta):
         """Scalar trace columns for the chain record. Empty by default."""
@@ -92,7 +85,6 @@ class GsgsConfig:
     perturbation_period: int = 1
     thinning: int = 0
     seed: int = 0
-    candidate_rule: str = "power"
 
     def __post_init__(self):
         if self.n_dirs < 1:
@@ -264,9 +256,7 @@ def gsgs_step(model, state, cfg):
         }
         return state
 
-    cset = build_conjugate_set(
-        precision, d1, min(cfg.n_dirs, precision.dim), candidate_rule=cfg.candidate_rule
-    )
+    cset = build_conjugate_set(precision, d1, min(cfg.n_dirs, precision.dim))
     x_new, alphas = sample_along(precision, cset, state.x, rng, gradient=gradient)
     if not np.isfinite(x_new).all():
         raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")

@@ -94,19 +94,19 @@ class CirculantOperator(LinearOperator):
         self.shape = (rows, cols)
         self.kernel_spectrum = spectrum
         # Half-plane copy drives the real-input transforms.
-        self._rspec = np.ascontiguousarray(spectrum[:, : cols // 2 + 1])
-        self._rspec_conj = np.conj(self._rspec)
+        self.half_spectrum = np.ascontiguousarray(spectrum[:, : cols // 2 + 1])
+        self.half_spectrum_conj = np.conj(self.half_spectrum)
 
     def apply(self, x):
         self._check_in(x)
         grid = x.reshape(self.shape)
-        out = np.fft.irfft2(np.fft.rfft2(grid) * self._rspec, s=self.shape)
+        out = np.fft.irfft2(np.fft.rfft2(grid) * self.half_spectrum, s=self.shape)
         return out.ravel()
 
     def adjoint_apply(self, y):
         self._check_out(y)
         grid = y.reshape(self.shape)
-        out = np.fft.irfft2(np.fft.rfft2(grid) * self._rspec_conj, s=self.shape)
+        out = np.fft.irfft2(np.fft.rfft2(grid) * self.half_spectrum_conj, s=self.shape)
         return out.ravel()
 
 
@@ -157,6 +157,18 @@ class DecimationOperator(LinearOperator):
             frame = y[i * frame_len : (i + 1) * frame_len].reshape(self.lr_shape)
             out[dr::f, dc::f] += frame
         return out.ravel()
+
+    def coverage(self):
+        """D^T 1 on the grid: how many frames sample each pixel.
+
+        D^T D is the diagonal matrix of these counts; an offset listed twice
+        counts twice.
+        """
+        out = np.zeros(self.hr_shape)
+        f = self.factor
+        for dr, dc in self.offsets:
+            out[dr::f, dc::f] += 1.0
+        return out
 
 
 class ComposedOperator(LinearOperator):

@@ -4,8 +4,14 @@ The observation model is data = decimation(blur(x)) + noise with iid Gaussian
 noise of unknown precision gamma_n, and a smoothness prior of unknown
 precision gamma_x built on a periodic Laplacian penalty. Both precisions get
 conjugate Gamma conditionals (Jeffreys in the flat-prior limit), so the whole
-posterior is explored by the gradient-scan Gibbs engine with the factored
-N(0, Q) gradient perturbation.
+posterior is explored by the gradient-scan Gibbs engine with the N(0, Q)
+gradient perturbation.
+
+When blur and penalty are circulant on the grid the decimation selects from,
+the precision of x | theta is diagonalized by the 2-D DFT up to the per-pixel
+frame count, and `build_precision` returns a `SpectralPrecision` that applies
+Q in 4 FFTs and draws N(0, Q) in 3. Any other operators get the factored
+`PrecisionModel`.
 """
 
 import logging
@@ -19,7 +25,13 @@ from .conjugate import PrecisionModel, densify_precision
 from .diagnostics import cholesky_oracle_sample
 from .engine import ChainRecord, ThetaModel, run_chain
 from .errors import DegenerateScaleError, DimensionError
-from .operators import compose, make_circulant, make_decimation
+from .operators import (
+    CirculantOperator,
+    DecimationOperator,
+    compose,
+    make_circulant,
+    make_decimation,
+)
 from .rng import RngState, gamma_draw, standard_normal_vector
 
 logger = logging.getLogger(__name__)
@@ -96,10 +108,114 @@ class SuperResModel:
         # Penalty rank: periodic Laplacian annihilates exactly the constants.
         self.penalty_rank = n - 1
         self._forward_t_data = self.forward.adjoint_apply(data)
+        # None unless the operators admit the spectral precision.
+        self.spectra = GridSpectra.of(blur, decimation, penalty)
 
     def backprojection(self):
         """forward^T applied to the data; the default chain start."""
         return self._forward_t_data.copy()
+
+
+@dataclass(frozen=True)
+class GridSpectra:
+    """What the spectral precision needs from periodic super-resolution
+    operators, read off the operators themselves (no FFT, no adjoint pass).
+
+    ``blur``/``blur_conj`` are the blur's half-plane spectrum and its
+    conjugate, ``penalty_conj`` and ``penalty_power`` are conj(P) and |P|^2 of
+    the penalty's, and ``mask`` is D^T 1, the frame count of every pixel.
+    """
+
+    shape: tuple
+    blur: np.ndarray
+    blur_conj: np.ndarray
+    penalty_conj: np.ndarray
+    penalty_power: np.ndarray
+    mask: np.ndarray
+    decimation: DecimationOperator
+
+    @classmethod
+    def of(cls, blur, decimation, penalty):
+        """Spectra of these operators, or None unless blur and penalty are
+        circulant on the grid a decimation selects from."""
+        if not (isinstance(blur, CirculantOperator)
+                and isinstance(penalty, CirculantOperator)
+                and isinstance(decimation, DecimationOperator)
+                and blur.shape == penalty.shape == decimation.hr_shape):
+            return None
+        return cls(
+            shape=blur.shape,
+            blur=blur.half_spectrum,
+            blur_conj=blur.half_spectrum_conj,
+            penalty_conj=penalty.half_spectrum_conj,
+            penalty_power=(penalty.half_spectrum * penalty.half_spectrum_conj).real,
+            mask=decimation.coverage(),
+            decimation=decimation,
+        )
+
+
+class SpectralPrecision:
+    """Q = gamma_n B^T diag(mask) B + gamma_x P^T P, applied in Fourier space.
+
+    B and P are circulant and D is a frame selection, so D^T D = diag(mask)
+    and, with X = rfft2(x),
+
+        Q x = irfft2(gamma_n conj(B) rfft2(mask * irfft2(B X))
+                     + gamma_x |P|^2 X)
+
+    costs 4 FFTs. A zero gamma_x drops the prior term. ``b`` = Q m is passed
+    in, as for `PrecisionModel`, whose interface this shares.
+    """
+
+    def __init__(self, spectra, gamma_n, gamma_x, b):
+        self.spectra = spectra
+        self.dim = spectra.mask.size
+        self.gamma_n = float(gamma_n)
+        self.gamma_x = float(gamma_x)
+        self.b = b
+        self.data_spectrum = self.gamma_n * spectra.blur_conj
+        self.prior_spectrum = (
+            self.gamma_x * spectra.penalty_power if self.gamma_x > 0 else None
+        )
+
+    def apply(self, x):
+        """Q x."""
+        if x.shape != (self.dim,):
+            raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
+        spectra = self.spectra
+        shape = spectra.shape
+        spec = np.fft.rfft2(x.reshape(shape))
+        seen = np.fft.irfft2(spec * spectra.blur, s=shape)
+        seen *= spectra.mask
+        out = np.fft.rfft2(seen)
+        out *= self.data_spectrum
+        if self.prior_spectrum is not None:
+            out += self.prior_spectrum * spec
+        return np.fft.irfft2(out, s=shape).ravel()
+
+    def gradient(self, x):
+        """Gradient of the quadratic potential: Q x - b = Q (x - m)."""
+        return self.apply(x) - self.b
+
+    def draw_noise(self, rng):
+        """One draw from N(0, Q) in 3 FFTs.
+
+        eps = irfft2(sqrt(gamma_n) conj(B) rfft2(D^T z_data)
+                     + sqrt(gamma_x) conj(P) rfft2(z_pix))
+        with standard normal z's of the data and pixel dimensions, drawn in
+        that order, has covariance gamma_n B^T D^T D B + gamma_x P^T P = Q.
+        A zero gamma_x draws no z_pix.
+        """
+        spectra = self.spectra
+        shape = spectra.shape
+        decimation = spectra.decimation
+        z_data = standard_normal_vector(rng, decimation.out_dim)
+        out = np.fft.rfft2(decimation.adjoint_apply(z_data).reshape(shape))
+        out *= math.sqrt(self.gamma_n) * spectra.blur_conj
+        if self.gamma_x > 0:
+            z_pix = standard_normal_vector(rng, self.dim).reshape(shape)
+            out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * np.fft.rfft2(z_pix)
+        return np.fft.irfft2(out, s=shape).ravel()
 
 
 def phantom(shape):
@@ -158,16 +274,20 @@ def simulate_data(truth, factor, offsets, blur_width, gamma_n_true, rng,
 
 
 def build_precision(model, hp):
-    """Posterior precision of x | data, hyperparams, in factored form.
+    """Posterior precision of x | data, hyperparams.
 
     Q = gamma_n * forward^T forward + gamma_x * penalty^T penalty, with
     b = Q m = gamma_n * forward^T data. A zero gamma_x drops the penalty
-    factor entirely.
+    term entirely. The result is a `SpectralPrecision` when the model has
+    ``spectra`` (circulant blur and penalty), else a factored
+    `PrecisionModel`.
     """
+    b = hp.gamma_n * model._forward_t_data
+    if model.spectra is not None:
+        return SpectralPrecision(model.spectra, hp.gamma_n, hp.gamma_x, b)
     factors = [(model.forward, hp.gamma_n)]
     if hp.gamma_x > 0:
         factors.append((model.penalty, hp.gamma_x))
-    b = hp.gamma_n * model._forward_t_data
     return PrecisionModel(model.n_pixels, factors, b)
 
 
@@ -209,24 +329,6 @@ def sample_hyperparams(model, x, rng, literal_shapes=False):
     return Hyperparams(gamma_n=gamma_n, gamma_x=gamma_x)
 
 
-def po_perturbation(model, hp, rng):
-    """Gradient perturbation with covariance equal to the posterior precision.
-
-    eps = sqrt(gamma_n) * forward^T z_data + sqrt(gamma_x) * penalty^T z_pix
-    with standard normal z's of the data and pixel dimensions (drawn in that
-    order), giving Cov(eps) = gamma_n forward^T forward
-    + gamma_x penalty^T penalty = Q exactly. This is the one-gradient-step
-    reading of perturbation-optimization, and the recommended noise law for
-    the direction seed.
-    """
-    z_data = standard_normal_vector(rng, model.n_data)
-    z_pix = standard_normal_vector(rng, model.n_pixels)
-    eps = math.sqrt(hp.gamma_n) * model.forward.adjoint_apply(z_data)
-    if hp.gamma_x > 0:
-        eps += math.sqrt(hp.gamma_x) * model.penalty.adjoint_apply(z_pix)
-    return eps
-
-
 class SuperResThetaModel(ThetaModel):
     """Engine hooks for the super-resolution posterior."""
 
@@ -241,9 +343,6 @@ class SuperResThetaModel(ThetaModel):
 
     def precision_at(self, theta):
         return build_precision(self.model, theta)
-
-    def perturbation_at(self, theta, rng, precision=None):
-        return po_perturbation(self.model, theta, rng)
 
     def theta_scalars(self, theta):
         return {"gamma_n": theta.gamma_n, "gamma_x": theta.gamma_x}

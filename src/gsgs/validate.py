@@ -269,7 +269,7 @@ def suite_conjugate(seed=0):
         factor = DenseOperator(np.diag(np.sqrt([1.0, 1.0, 2.0])))
         model = PrecisionModel(3, [(factor, 1.0)], np.zeros(3))
         cset = build_conjugate_set(model, np.array([1.0, 0.0, 0.0]), 3)
-        return cset.size < 3, {"set_size": cset.size}
+        return len(cset) < 3, {"set_size": len(cset)}
 
     results.append(_timed("conjugate.krylov_early_termination", early_termination))
     return results

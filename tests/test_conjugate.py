@@ -17,7 +17,6 @@ from gsgs.conjugate import (
     PrecisionModel,
     build_conjugate_set,
     densify_precision,
-    draw_factored_noise,
     sample_along,
 )
 
@@ -65,14 +64,14 @@ def test_identity_precision_gives_orthogonal_directions():
     model = PrecisionModel(4, [(IdentityOperator(4), 1.0)], np.zeros(4))
     cset = build_conjugate_set(model, np.array([1.0, 0.0, 0.0, 0.0]), 3)
     gram = cset.directions @ cset.directions.T
-    np.testing.assert_allclose(gram, np.eye(cset.size), atol=1e-12)
+    np.testing.assert_allclose(gram, np.eye(len(cset)), atol=1e-12)
 
 
 def test_full_set_conjugacy_on_random_spd():
     model, q_dense, _ = random_spd_precision(6, 5)
     gen = np.random.default_rng(6)
     cset = build_conjugate_set(model, gen.standard_normal(6), 6)
-    assert cset.size == 6
+    assert len(cset) == 6
     # Explicit dense check, independent of the cached products.
     gram = cset.directions @ q_dense @ cset.directions.T
     scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
@@ -88,7 +87,7 @@ def test_repeated_eigenvalue_terminates_early():
     factor = DenseOperator(np.diag(np.sqrt([1.0, 1.0, 2.0])))
     model = PrecisionModel(3, [(factor, 1.0)], np.zeros(3))
     cset = build_conjugate_set(model, np.array([1.0, 0.0, 0.0]), 3)
-    assert cset.size < 3
+    assert len(cset) < 3
 
 
 def test_directions_are_unit_norm():
@@ -206,7 +205,7 @@ def test_factored_noise_covariance_matches_precision():
     n = 6
     model, q_dense, _ = random_spd_precision(n, 19)
     rng = RngState(25)
-    draws = np.array([draw_factored_noise(model, rng) for _ in range(30000)])
+    draws = np.array([model.draw_noise(rng) for _ in range(30000)])
     assert np.abs(draws.mean(axis=0)).max() < 0.05
     cov = np.cov(draws, rowvar=False)
     assert np.linalg.norm(cov - q_dense) / np.linalg.norm(q_dense) < 0.05

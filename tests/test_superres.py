@@ -15,15 +15,15 @@ from gsgs import (
     run_chain,
     simulate_data,
 )
-from gsgs.conjugate import densify_precision
+from gsgs.conjugate import PrecisionModel, densify_precision
 from gsgs.operators import make_circulant, make_decimation
 from gsgs.superres import (
     Hyperparams,
     SuperResModel,
+    SpectralPrecision,
     SuperResThetaModel,
     build_precision,
     exact_gibbs_reference,
-    po_perturbation,
     run_superres,
     sample_hyperparams,
 )
@@ -77,7 +77,8 @@ def test_full_scale_configuration_is_constructible():
 def test_build_precision_single_factor_when_prior_off():
     model = small_model(seed=4)
     precision = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=0.0))
-    assert len(precision.factors) == 1
+    # The spectral form keeps no prior term when gamma_x is zero.
+    assert precision.prior_spectrum is None
     x = RngState(5).generator.standard_normal(model.n_pixels)
     expected = model.forward.adjoint_apply(model.forward.apply(x))
     np.testing.assert_allclose(precision.apply(x), expected, atol=1e-12)
@@ -91,6 +92,28 @@ def test_densified_precision_matches_explicit_grams():
     expected = hp.gamma_n * a_mat.T @ a_mat + hp.gamma_x * d_mat.T @ d_mat
     dense = densify_precision(build_precision(model, hp))
     np.testing.assert_allclose(dense, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, factor, frames",
+    [
+        ((6, 10), 2, ((0, 0), (1, 0), (0, 1))),
+        ((6, 9), 3, ((0, 0), (2, 1))),  # odd column count
+        ((1, 15), 1, ((0, 0),)),  # 1-D deconvolution
+        ((8, 8), 2, ((0, 0), (1, 1), (0, 0))),  # repeated offset: mask = 2
+    ],
+)
+@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+def test_spectral_precision_matches_explicit_grams(shape, factor, frames, gamma_x):
+    model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(40))
+    assert model.spectra.mask.max() == max(frames.count(f) for f in frames)
+    hp = Hyperparams(gamma_n=0.7, gamma_x=gamma_x)
+    precision = build_precision(model, hp)
+    assert isinstance(precision, SpectralPrecision)
+    a_mat = densify(model.forward).matrix
+    d_mat = densify(model.penalty).matrix
+    expected = hp.gamma_n * a_mat.T @ a_mat + hp.gamma_x * d_mat.T @ d_mat
+    np.testing.assert_allclose(densify_precision(precision), expected, atol=1e-12)
 
 
 def test_gradient_at_zero_is_negative_backprojection():
@@ -159,27 +182,41 @@ def test_po_perturbation_identity_forward_variance():
         data=np.zeros(16), hr_shape=(4, 4),
     )
     rng = RngState(13)
-    draws = np.array(
-        [po_perturbation(model, Hyperparams(4.0, 0.0), rng) for _ in range(3 * 10**4)]
-    )
+    precision = build_precision(model, Hyperparams(4.0, 0.0))
+    draws = np.array([precision.draw_noise(rng) for _ in range(3 * 10**4)])
     assert np.abs(draws.var(axis=0) - 4.0).max() < 0.2
 
 
 def test_po_perturbation_covariance_matches_precision():
     model = small_model(seed=14, dense=True)
     hp = Hyperparams(gamma_n=1.0, gamma_x=0.5)
-    target = densify_precision(build_precision(model, hp))
+    precision = build_precision(model, hp)
+    # Dense operators keep the factored precision and its noise draw.
+    assert isinstance(precision, PrecisionModel)
+    target = densify_precision(precision)
     rng = RngState(15)
-    draws = np.array([po_perturbation(model, hp, rng) for _ in range(10**5)])
+    draws = np.array([precision.draw_noise(rng) for _ in range(10**5)])
+    cov = np.cov(draws, rowvar=False)
+    assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
+
+
+def test_spectral_noise_covariance_matches_precision():
+    model = small_model(seed=14)
+    hp = Hyperparams(gamma_n=1.0, gamma_x=0.5)
+    precision = build_precision(model, hp)
+    assert isinstance(precision, SpectralPrecision)
+    target = densify_precision(precision)
+    rng = RngState(15)
+    draws = np.array([precision.draw_noise(rng) for _ in range(10**5)])
     cov = np.cov(draws, rowvar=False)
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
 
 
 def test_po_perturbation_deterministic_under_seed():
     model = small_model(seed=16)
-    hp = Hyperparams(1.0, 1.0)
-    a = po_perturbation(model, hp, RngState(17))
-    b = po_perturbation(model, hp, RngState(17))
+    precision = build_precision(model, Hyperparams(1.0, 1.0))
+    a = precision.draw_noise(RngState(17))
+    b = precision.draw_noise(RngState(17))
     np.testing.assert_array_equal(a, b)
 
 
