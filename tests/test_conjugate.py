@@ -9,8 +9,12 @@ from gsgs import (
     IdentityOperator,
     IndefinitePrecisionError,
     RngState,
+    SizeCapError,
+    densify,
     exact_summary,
     moment_compare,
+    phantom,
+    simulate_data,
     summarize,
 )
 from gsgs.conjugate import (
@@ -19,6 +23,8 @@ from gsgs.conjugate import (
     densify_precision,
     sample_along,
 )
+from gsgs.superres import Hyperparams, SpectralPrecision, SuperResModel, build_precision
+from gsgs.validate import build_desk_model
 
 
 def random_spd_precision(n, seed, eig_lo=0.5, eig_hi=4.0, b=None):
@@ -54,6 +60,8 @@ def test_densify_precision_symmetric_and_exact():
     dense = densify_precision(model)
     np.testing.assert_array_equal(dense, dense.T)
     np.testing.assert_allclose(dense, q_dense, atol=1e-12)
+    with pytest.raises(SizeCapError):
+        densify_precision(model, max_entries=35)
 
 
 def test_identity_precision_gives_orthogonal_directions():
@@ -79,6 +87,53 @@ def test_full_set_conjugacy_on_random_spd():
     np.fill_diagonal(off, 0.0)
     assert off.max() <= 1e-8
     assert cset.conjugacy_defect() <= 1e-8
+
+
+@pytest.mark.parametrize("gamma_x", [1.0, 1e4])
+def test_desk_scale_k150_stays_conjugate(gamma_x):
+    # The 64x64 desk scene at k=150, also at the scale gamma_x runs away to:
+    # the three-term step plus a single full pass must keep the whole set
+    # conjugate, with no early stop.
+    hp = Hyperparams(gamma_n=1.0, gamma_x=gamma_x)
+    precision = build_precision(build_desk_model(31), hp)
+    assert isinstance(precision, SpectralPrecision)
+    d1 = np.random.default_rng(41).standard_normal(precision.dim)
+    cset = build_conjugate_set(precision, d1, 150)
+    assert len(cset) == 150
+    assert cset.conjugacy_defect() <= 1e-8
+
+
+@pytest.mark.parametrize("gamma_x", [0.05, 1e4])
+def test_near_full_dimension_set_stays_conjugate(gamma_x):
+    # The dense 16x16 model of the near-full sweep test, asked for all 256
+    # directions: the set must get close to full and stay conjugate.
+    sim = simulate_data(phantom((16, 16)), 2, [(0, 0), (1, 0), (0, 1), (1, 1)],
+                        3, 1.0, RngState(31))
+    model = SuperResModel(
+        blur=densify(sim.blur), decimation=densify(sim.decimation),
+        penalty=densify(sim.penalty), data=sim.data, hr_shape=sim.hr_shape,
+    )
+    precision = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=gamma_x))
+    d1 = np.random.default_rng(42).standard_normal(precision.dim)
+    cset = build_conjugate_set(precision, d1, 256)
+    assert len(cset) >= 240
+    assert cset.conjugacy_defect() <= 1e-8
+
+
+def test_directions_span_the_krylov_space():
+    n, k = 40, 12
+    model, _, _ = random_spd_precision(n, 43)
+    krylov = np.empty((k, n))
+    krylov[0] = np.random.default_rng(44).standard_normal(n)
+    krylov[0] /= np.linalg.norm(krylov[0])
+    for j in range(1, k):
+        krylov[j] = model.apply(krylov[j - 1])
+        krylov[j] /= np.linalg.norm(krylov[j])
+    cset = build_conjugate_set(model, krylov[0], k)
+    assert len(cset) == k
+    coef, _, _, _ = np.linalg.lstsq(cset.directions.T, krylov.T, rcond=None)
+    residual = np.linalg.norm(cset.directions.T @ coef - krylov.T, axis=0)
+    assert residual.max() <= 1e-8
 
 
 def test_repeated_eigenvalue_terminates_early():
