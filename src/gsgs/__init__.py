@@ -49,10 +49,8 @@ from .operators import (
     DenseOperator,
     IdentityOperator,
     LinearOperator,
-    compose,
     densify,
     make_circulant,
-    make_decimation,
     max_adjoint_defect,
 )
 from .rng import RngState, gamma_draw, standard_normal_vector
@@ -63,6 +61,7 @@ from .superres import (
     SuperResThetaModel,
     build_precision,
     exact_gibbs_reference,
+    geometry_operators,
     phantom,
     run_superres,
     sample_hyperparams,

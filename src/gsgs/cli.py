@@ -24,7 +24,13 @@ from .engine import PERTURBATIONS, GsgsConfig
 from .errors import ConfigurationError, GsgsError
 from .imgio import read_image_f64, write_image_f64, write_image_pgm16
 from .rng import RngState
-from .superres import phantom, run_superres, simulate_data
+from .superres import (
+    SuperResModel,
+    geometry_operators,
+    phantom,
+    run_superres,
+    simulate_data,
+)
 from .validate import SUITES, format_results, results_report, run_suite
 
 logger = logging.getLogger(__name__)
@@ -147,40 +153,49 @@ def cmd_simulate(args):
     return 0
 
 
+GEOMETRY_KEYS = ("rows", "cols", "factor", "offsets", "blur_width")
+
+
 def _load_model(cfg):
+    """The model of a data directory: the geometry recorded in meta.json
+    ("config" keys GEOMETRY_KEYS), the stacked frames in y.f64, and
+    truth.f64 for scoring when present. Hyperprior parameters come from the
+    run config."""
     data_dir = Path(cfg.data_dir or cfg.output_dir)
     meta_path = data_dir / "meta.json"
     if not meta_path.exists():
-        raise GsgsError(f"no simulated data found in {data_dir} (missing meta.json)")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    sim = meta["config"]
-    truth_path = data_dir / "truth.f64"
-    truth = read_image_f64(truth_path) if truth_path.exists() else None
-    stacked = read_image_f64(data_dir / "y.f64")
-    data = stacked.ravel()
-    # Rebuild operators from the recorded geometry; hyperprior parameters may
-    # be overridden by the current run config.
-    rng = RngState(sim["seed"])
-    model = simulate_data(
-        truth if truth is not None else phantom((sim["rows"], sim["cols"])),
-        sim["factor"], [tuple(o) for o in sim["offsets"]], sim["blur_width"],
-        sim["gamma_n_true"], rng,
-        alpha_n=cfg.alpha_n, beta_n=cfg.beta_n,
-        alpha_x=cfg.alpha_x, beta_x=cfg.beta_x,
+        raise GsgsError(f"no data found in {data_dir} (missing meta.json)")
+    try:
+        with open(meta_path) as fh:
+            geometry = json.load(fh).get("config", {})
+    except json.JSONDecodeError as exc:
+        raise GsgsError(f"{meta_path} is not valid JSON: {exc}") from exc
+    missing = [key for key in GEOMETRY_KEYS if key not in geometry]
+    if missing:
+        raise GsgsError(f"{meta_path} lacks config keys {missing}")
+    shape = (int(geometry["rows"]), int(geometry["cols"]))
+    blur, decimation, penalty = geometry_operators(
+        shape, geometry["factor"], geometry["offsets"], geometry["blur_width"]
     )
-    if data.shape != model.data.shape:
+    data = read_image_f64(data_dir / "y.f64").ravel()
+    if data.size != decimation.out_dim:
         raise GsgsError(
             f"data in {data_dir} has {data.size} values; geometry expects "
-            f"{model.data.size}"
+            f"{decimation.out_dim}"
         )
-    model.data = data
-    model._forward_t_data = model.forward.adjoint_apply(data)
-    return model, meta
+    truth_path = data_dir / "truth.f64"
+    truth = read_image_f64(truth_path) if truth_path.exists() else None
+    if truth is not None and truth.shape != shape:
+        raise GsgsError(f"truth in {data_dir} has shape {truth.shape}; geometry is {shape}")
+    return SuperResModel(
+        blur, decimation, penalty, data, shape,
+        alpha_n=cfg.alpha_n, beta_n=cfg.beta_n,
+        alpha_x=cfg.alpha_x, beta_x=cfg.beta_x, truth=truth,
+    )
 
 
 def _single_run(cfg, seed, out):
-    model, meta = _load_model(cfg)
+    model = _load_model(cfg)
     start = time.perf_counter()
     result = run_superres(model, cfg.chain_config(seed=seed),
                           literal_shapes=cfg.paper_literal_shapes)
@@ -358,7 +373,7 @@ def build_parser():
     _add_config_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_run = sub.add_parser("run", help="run the sampler on simulated data")
+    p_run = sub.add_parser("run", help="run the sampler on a data directory")
     _add_config_flags(p_run)
     p_run.add_argument("--chains", type=int, default=1,
                        help="fan out this many seeds across worker processes "

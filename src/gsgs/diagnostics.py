@@ -25,15 +25,14 @@ class MomentSummary:
     n_samples: object
     mean: np.ndarray
     variance: np.ndarray
-    covariance: np.ndarray = None
+    covariance: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.variance = np.asarray(self.variance, dtype=float)
         if (self.variance < 0).any():
             raise ValueError("variance must be nonnegative")
-        if self.covariance is not None:
-            self.covariance = np.asarray(self.covariance, dtype=float)
+        self.covariance = np.asarray(self.covariance, dtype=float)
 
     @property
     def dim(self):
@@ -47,14 +46,13 @@ class MomentSummary:
         return np.sqrt(self.variance / self.n_samples)
 
 
-def summarize(samples, with_covariance=True):
+def summarize(samples):
     """MomentSummary of a (n_samples, dim) array."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError(f"expected (n_samples, dim), got shape {samples.shape}")
     n = samples.shape[0]
-    cov = np.cov(samples, rowvar=False).reshape(samples.shape[1], samples.shape[1]) \
-        if with_covariance else None
+    cov = np.cov(samples, rowvar=False).reshape(samples.shape[1], samples.shape[1])
     return MomentSummary(
         n_samples=n,
         mean=samples.mean(axis=0),
@@ -63,15 +61,11 @@ def summarize(samples, with_covariance=True):
     )
 
 
-def exact_summary(mean, covariance=None, variance=None):
+def exact_summary(mean, covariance):
     """Summary of a known distribution, for use as a comparison target."""
-    mean = np.asarray(mean, dtype=float)
-    if covariance is not None:
-        covariance = np.asarray(covariance, dtype=float)
-        variance = np.diag(covariance).copy()
-    elif variance is None:
-        raise ValueError("need covariance or variance")
-    return MomentSummary(n_samples=None, mean=mean, variance=variance, covariance=covariance)
+    covariance = np.asarray(covariance, dtype=float)
+    return MomentSummary(n_samples=None, mean=mean, variance=np.diag(covariance).copy(),
+                         covariance=covariance)
 
 
 def cholesky_oracle_sample(q_dense, b, rng, size=None):
@@ -108,7 +102,6 @@ class MomentComparison:
     max_mean_sigma: float = 0.0
     cov_gap: float = 0.0
     cov_allowed: float = 0.0
-    used_covariance: bool = True
 
     def to_dict(self):
         return {
@@ -120,7 +113,6 @@ class MomentComparison:
             "max_mean_sigma": float(self.max_mean_sigma),
             "cov_gap": float(self.cov_gap),
             "cov_allowed": float(self.cov_allowed),
-            "used_covariance": self.used_covariance,
         }
 
     def __str__(self):
@@ -139,9 +131,8 @@ def moment_compare(a, b, mean_tol_se, cov_tol_rel):
 
     A coordinate passes when |mean_a - mean_b| <= mean_tol_se * combined SE
     (SEs added in quadrature; an exact summary contributes zero). Covariances
-    pass when ||C_a - C_b||_F <= cov_tol_rel * max(||C_a||_F, ||C_b||_F);
-    when either side lacks a covariance the per-coordinate variances are
-    compared the same way. The pass/fail outcome is symmetric in (a, b).
+    pass when ||C_a - C_b||_F <= cov_tol_rel * max(||C_a||_F, ||C_b||_F).
+    The pass/fail outcome is symmetric in (a, b).
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -155,12 +146,7 @@ def moment_compare(a, b, mean_tol_se, cov_tol_rel):
         for i in np.nonzero(diff > allowed)[0]
     ]
 
-    if a.covariance is not None and b.covariance is not None:
-        ca, cb = a.covariance, b.covariance
-        used_covariance = True
-    else:
-        ca, cb = np.diag(a.variance), np.diag(b.variance)
-        used_covariance = False
+    ca, cb = a.covariance, b.covariance
     scale = max(np.linalg.norm(ca), np.linalg.norm(cb))
     gap = float(np.linalg.norm(ca - cb) / scale) if scale > 0 else 0.0
 
@@ -170,7 +156,6 @@ def moment_compare(a, b, mean_tol_se, cov_tol_rel):
         max_mean_sigma=float(sigmas.max()),
         cov_gap=gap,
         cov_allowed=float(cov_tol_rel),
-        used_covariance=used_covariance,
     )
 
 

@@ -32,8 +32,9 @@ class ThetaModel:
     """Hooks the engine needs from a concrete model.
 
     Subclasses supply the theta conditional and the precision of x | theta.
-    ``perturbation_at`` draws N(0, Q_theta) through the precision's own
-    ``draw_noise``, which is what the guaranteed-convergence mode expects.
+    ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of the
+    precision the engine built for theta, which is what the
+    guaranteed-convergence mode expects.
     """
 
     def sample_theta(self, x, rng):
@@ -42,9 +43,7 @@ class ThetaModel:
     def precision_at(self, theta):
         raise NotImplementedError
 
-    def perturbation_at(self, theta, rng, precision=None):
-        if precision is None:
-            precision = self.precision_at(theta)
+    def perturbation_at(self, theta, rng, precision):
         return precision.draw_noise(rng)
 
     def theta_scalars(self, theta):

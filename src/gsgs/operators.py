@@ -172,7 +172,8 @@ class DecimationOperator(LinearOperator):
 
 
 class ComposedOperator(LinearOperator):
-    """Composition of operators in mathematical order: ops[0] is applied last."""
+    """Composition of operators in mathematical order: ops[0] is applied last,
+    so ``ComposedOperator([a, b]).apply(x) == a.apply(b.apply(x))``."""
 
     def __init__(self, ops):
         ops = tuple(ops)
@@ -228,16 +229,6 @@ def make_circulant(shape, kernel, anchor=None):
     col_idx = (np.arange(kc) - ac) % cols
     padded[np.ix_(row_idx, col_idx)] = kernel
     return CirculantOperator((rows, cols), np.fft.fft2(padded))
-
-
-def make_decimation(hr_shape, factor, offsets):
-    """Build the down-sampling selection operator for a stack of shifted frames."""
-    return DecimationOperator(hr_shape, factor, offsets)
-
-
-def compose(ops):
-    """Compose operators so that ``compose([a, b]).apply(x) == a.apply(b.apply(x))``."""
-    return ComposedOperator(ops)
 
 
 def densify(op, max_entries=DENSIFY_CAP):

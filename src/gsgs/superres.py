@@ -27,10 +27,9 @@ from .engine import ChainRecord, ThetaModel, run_chain
 from .errors import DegenerateScaleError, DimensionError
 from .operators import (
     CirculantOperator,
+    ComposedOperator,
     DecimationOperator,
-    compose,
     make_circulant,
-    make_decimation,
 )
 from .rng import RngState, gamma_draw, standard_normal_vector
 
@@ -102,7 +101,7 @@ class SuperResModel:
         self.alpha_n, self.beta_n = float(alpha_n), float(beta_n)
         self.alpha_x, self.beta_x = float(alpha_x), float(beta_x)
         self.truth = None if truth is None else np.asarray(truth, dtype=float).copy()
-        self.forward = compose([decimation, blur])
+        self.forward = ComposedOperator([decimation, blur])
         self.n_pixels = n
         self.n_data = decimation.out_dim
         # Penalty rank: periodic Laplacian annihilates exactly the constants.
@@ -234,30 +233,40 @@ def phantom(shape):
     return img
 
 
-def simulate_data(truth, factor, offsets, blur_width, gamma_n_true, rng,
-                  alpha_n=0.0, beta_n=0.0, alpha_x=0.0, beta_x=0.0):
-    """Generate observations from a known scene and return the built model.
+def geometry_operators(shape, factor, offsets, blur_width):
+    """The operators of a super-resolution geometry: (blur, decimation, penalty).
 
     The blur is a uniform square window of ``blur_width`` pixels (centered
-    anchor), the penalty is the periodic Laplacian, and the noise is iid
-    Gaussian with precision ``gamma_n_true``. Passing ``math.inf`` switches
-    the noise off. The truth is stored on the model for scoring.
+    anchor) and the penalty the periodic Laplacian; on single-row grids, which
+    are 1-D deconvolution problems, they are the 1-D window and the
+    second-difference stencil. The decimation keeps one ``factor``-strided
+    frame per offset.
     """
-    truth = np.asarray(truth, dtype=float)
-    if truth.ndim != 2:
-        raise DimensionError(f"truth must be a 2-D image, got ndim={truth.ndim}")
-    shape = truth.shape
     blur_width = int(blur_width)
     if shape[0] == 1:
-        # Single-row grids are 1-D deconvolution problems: 1-D window and
-        # second-difference stencil.
         blur = make_circulant(shape, np.full((1, blur_width), 1.0 / blur_width))
         penalty = make_circulant(shape, [[-1.0, 2.0, -1.0]])
     else:
         window = np.full((blur_width, blur_width), 1.0 / blur_width**2)
         blur = make_circulant(shape, window)
         penalty = make_circulant(shape, LAPLACIAN_STENCIL)
-    decimation = make_decimation(shape, factor, offsets)
+    return blur, DecimationOperator(shape, factor, offsets), penalty
+
+
+def simulate_data(truth, factor, offsets, blur_width, gamma_n_true, rng,
+                  alpha_n=0.0, beta_n=0.0, alpha_x=0.0, beta_x=0.0):
+    """Generate observations from a known scene and return the built model.
+
+    The operators are those of `geometry_operators` on the truth's grid, and
+    the noise is iid Gaussian with precision ``gamma_n_true``. Passing
+    ``math.inf`` switches the noise off. The truth is stored on the model for
+    scoring.
+    """
+    truth = np.asarray(truth, dtype=float)
+    if truth.ndim != 2:
+        raise DimensionError(f"truth must be a 2-D image, got ndim={truth.ndim}")
+    shape = truth.shape
+    blur, decimation, penalty = geometry_operators(shape, factor, offsets, blur_width)
     clean = decimation.apply(blur.apply(truth.ravel()))
     if math.isinf(gamma_n_true):
         data = clean
@@ -425,27 +434,23 @@ class ReferenceResult:
         return float(self._post(self.gamma_x_chain).std())
 
 
-def exact_gibbs_reference(model, n_iters, burn_in, seed, method="auto",
+def exact_gibbs_reference(model, n_iters, burn_in, seed, method,
                           literal_shapes=False):
     """Reference sampler that redraws the full image exactly each iteration.
 
     Uses the same Gamma conditionals as the main chain but replaces the
-    directional excursion with an exact draw from N(m, Q^{-1}). Two dense
-    strategies are available:
+    directional excursion with an exact draw from N(m, Q^{-1}). ``method``
+    picks one of two dense strategies:
 
     - "cholesky": refactor Q each iteration; simple, for small models.
     - "eigen": simultaneously diagonalize the two Gram blocks of Q once
       (a generalized symmetric eigendecomposition), after which every
       iteration is two dense matrix-vector products. This makes a
       few-thousand-pixel reference run affordable.
-
-    "auto" picks cholesky up to 64 unknowns and eigen above.
     """
     if burn_in >= n_iters:
         raise ValueError("burn_in must be below n_iters")
     n = model.n_pixels
-    if method == "auto":
-        method = "cholesky" if n <= 64 else "eigen"
     if method not in ("cholesky", "eigen"):
         raise ValueError(f"unknown reference method {method!r}")
 

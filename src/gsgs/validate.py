@@ -25,11 +25,11 @@ from .diagnostics import (
 )
 from .engine import ChainState, FixedGaussianModel, GsgsConfig, gsgs_step
 from .operators import (
+    ComposedOperator,
+    DecimationOperator,
     DenseOperator,
-    compose,
     densify,
     make_circulant,
-    make_decimation,
     max_adjoint_defect,
 )
 from .rng import RngState, gamma_draw, standard_normal_vector
@@ -118,9 +118,9 @@ def suite_operators(seed=0):
     def adjoints():
         ops = {
             "circulant": make_circulant((8, 8), np.full((5, 5), 0.04)),
-            "decimation": make_decimation((8, 8), 2, DESK_OFFSETS),
-            "composed": compose([
-                make_decimation((8, 8), 2, DESK_OFFSETS),
+            "decimation": DecimationOperator((8, 8), 2, DESK_OFFSETS),
+            "composed": ComposedOperator([
+                DecimationOperator((8, 8), 2, DESK_OFFSETS),
                 make_circulant((8, 8), np.full((5, 5), 0.04)),
             ]),
             "dense": DenseOperator(rng.generator.standard_normal((9, 13))),
@@ -158,8 +158,8 @@ def suite_operators(seed=0):
     results.append(_timed("operators.circulant_vs_direct", circulant_vs_direct))
 
     def dense_agreement():
-        op = compose([
-            make_decimation((8, 8), 2, DESK_OFFSETS),
+        op = ComposedOperator([
+            DecimationOperator((8, 8), 2, DESK_OFFSETS),
             make_circulant((8, 8), np.full((3, 3), 1.0 / 9.0)),
         ])
         dense = densify(op)
@@ -344,7 +344,7 @@ def build_toy_model(seed=0):
     truth = phantom((1, 16))
     blur = make_circulant((1, 16), [[0.2, 0.6, 0.2]])
     penalty = make_circulant((1, 16), [[-1.0, 2.0, -1.0]])
-    decimation = make_decimation((1, 16), 1, [(0, 0)])
+    decimation = DecimationOperator((1, 16), 1, [(0, 0)])
     data_rng = RngState(seed)
     clean = decimation.apply(blur.apply(truth.ravel()))
     data = clean + standard_normal_vector(data_rng, clean.shape[0])

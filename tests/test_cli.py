@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from gsgs import RngState, phantom, read_image_f64, simulate_data
-from gsgs.cli import main
+from gsgs import RngState, phantom, read_image_f64, simulate_data, write_image_f64
+from gsgs.cli import RunConfig, _load_model, main
 
 
 def run_cli(*argv):
@@ -65,6 +65,68 @@ def test_run_produces_outputs_and_report(tmp_path):
     assert len(list(out.glob("snap_*.f64"))) == 3
     header = (out / "chain.csv").read_text().splitlines()[0]
     assert header == "t,gamma_n,gamma_x,J,wall_ms"
+
+
+def test_run_without_truth_reports_no_truth_error(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    (sim / "truth.f64").unlink()
+    assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["gamma_n_hat"] > 0
+    assert "truth_rel_error" not in report
+
+
+def test_run_on_hand_written_geometry(tmp_path, capsys):
+    # Only the geometry keys (bad JSON or a missing key is an error), a grid
+    # and frames the simulate defaults never produce, and no truth: the data
+    # alone drive the run.
+    data_dir, out = tmp_path / "data", tmp_path / "run"
+    data_dir.mkdir()
+    geometry = {"rows": 8, "cols": 12, "factor": 2, "offsets": [[0, 0], [1, 1]],
+                "blur_width": 3}
+    frames = simulate_data(phantom((8, 12)), 2, [(0, 0), (1, 1)], 3, 4.0, RngState(1)).data
+    write_image_f64(data_dir / "y.f64", frames.reshape(8, 6))
+    (data_dir / "meta.json").write_text('{"config": ')
+    assert run_cli("run", "--data-dir", data_dir, "-o", out, *SMALL) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+    partial = {k: v for k, v in geometry.items() if k != "blur_width"}
+    (data_dir / "meta.json").write_text(json.dumps({"config": partial}))
+    assert run_cli("run", "--data-dir", data_dir, "-o", out, *SMALL) == 1
+    assert "blur_width" in capsys.readouterr().err
+    (data_dir / "meta.json").write_text(json.dumps({"config": geometry}))
+    assert run_cli("run", "--data-dir", data_dir, "-o", out, "--seed", "3", *SMALL) == 0
+    assert read_image_f64(out / "pm.f64").shape == (8, 12)
+    assert "truth_rel_error" not in json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("name, shape, expected", [
+    ("y.f64", (2, 95), ["190", "192"]),
+    ("truth.f64", (8, 8), ["(8, 8)", "(16, 16)"]),
+])
+def test_run_rejects_files_that_do_not_fit_the_geometry(tmp_path, capsys, name, shape,
+                                                        expected):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    write_image_f64(sim / name, np.zeros(shape))
+    assert run_cli("run", "--data-dir", sim, "-o", tmp_path / "run", *SMALL) == 1
+    err = capsys.readouterr().err
+    assert all(count in err for count in expected)
+
+
+def test_load_model_matches_simulated_model(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    cfg = RunConfig(data_dir=str(sim), alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
+    loaded = _load_model(cfg)
+    simulated = simulate_data(
+        phantom((16, 16)), 2, [(0, 0), (1, 0), (0, 1)], 5, 1.0, RngState(5),
+        alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1,
+    )
+    assert loaded.data.tobytes() == simulated.data.tobytes()
+    assert loaded.backprojection().tobytes() == simulated.backprojection().tobytes()
+    assert loaded.truth.tobytes() == simulated.truth.tobytes()
+    assert loaded.hr_shape == simulated.hr_shape
 
 
 def test_run_is_seed_deterministic(tmp_path):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from gsgs import (
+    ComposedOperator,
     ConfigurationError,
+    DecimationOperator,
     DenseOperator,
     DimensionError,
     IdentityOperator,
     RngState,
     SizeCapError,
-    compose,
     densify,
     make_circulant,
-    make_decimation,
     max_adjoint_defect,
 )
 
@@ -113,19 +113,19 @@ def test_circulant_rejects_oversized_stencil():
 
 
 def test_decimation_selects_even_subgrid():
-    op = make_decimation((4, 4), 2, [(0, 0)])
+    op = DecimationOperator((4, 4), 2, [(0, 0)])
     grid = np.arange(16.0)
     np.testing.assert_array_equal(op.apply(grid), grid.reshape(4, 4)[::2, ::2].ravel())
 
 
 def test_decimation_two_frames_out_dim():
-    op = make_decimation((4, 4), 2, [(0, 0), (1, 1)])
+    op = DecimationOperator((4, 4), 2, [(0, 0), (1, 1)])
     assert op.out_dim == 8
 
 
 def test_decimation_matches_enumerated_matrix(rng):
     offsets = [(0, 0), (1, 1), (1, 0)]
-    op = make_decimation((6, 4), 2, offsets)
+    op = DecimationOperator((6, 4), 2, offsets)
     oracle = dense_decimation_oracle((6, 4), 2, offsets)
     np.testing.assert_array_equal(densify(op).matrix, oracle)
     y = rng.generator.standard_normal(op.out_dim)
@@ -135,31 +135,31 @@ def test_decimation_matches_enumerated_matrix(rng):
 
 def test_decimation_config_errors():
     with pytest.raises(ConfigurationError):
-        make_decimation((4, 4), 3, [(0, 0)])
+        DecimationOperator((4, 4), 3, [(0, 0)])
     with pytest.raises(ConfigurationError):
-        make_decimation((4, 4), 2, [(0, 2)])
+        DecimationOperator((4, 4), 2, [(0, 2)])
     with pytest.raises(ConfigurationError):
-        make_decimation((4, 4), 2, [])
+        DecimationOperator((4, 4), 2, [])
 
 
 def test_compose_identity_pair(rng):
     ident = IdentityOperator(9)
-    op = compose([ident, ident])
+    op = ComposedOperator([ident, ident])
     x = rng.generator.standard_normal(9)
     np.testing.assert_array_equal(op.apply(x), x)
 
 
 def test_compose_matches_dense_product(rng):
     h = make_circulant((8, 8), np.full((3, 3), 1.0 / 9.0))
-    s = make_decimation((8, 8), 2, [(0, 0), (1, 1)])
-    sh = compose([s, h])
+    s = DecimationOperator((8, 8), 2, [(0, 0), (1, 1)])
+    sh = ComposedOperator([s, h])
     product = densify(s).matrix @ densify(h).matrix
     np.testing.assert_allclose(densify(sh).matrix, product, atol=1e-13)
 
 
 def test_compose_dim_mismatch():
     with pytest.raises(DimensionError):
-        compose([IdentityOperator(4), IdentityOperator(5)])
+        ComposedOperator([IdentityOperator(4), IdentityOperator(5)])
 
 
 def test_densify_identity():
@@ -182,8 +182,8 @@ def test_densify_small_circulant_by_hand():
 def test_densified_blur_selection_rows_sum_to_kernel_mass():
     kernel = np.full((3, 3), 1.0 / 9.0)
     h = make_circulant((8, 8), kernel)
-    s = make_decimation((8, 8), 2, [(0, 0)])
-    mat = densify(compose([s, h])).matrix
+    s = DecimationOperator((8, 8), 2, [(0, 0)])
+    mat = densify(ComposedOperator([s, h])).matrix
     # Periodic boundaries make every selected row an interior row.
     np.testing.assert_allclose(mat.sum(axis=1), np.full(16, kernel.sum()), atol=1e-12)
 
@@ -194,8 +194,8 @@ def test_densify_cap():
 
 
 def test_densify_agrees_with_apply(rng):
-    op = compose([
-        make_decimation((8, 8), 2, [(0, 0), (1, 0)]),
+    op = ComposedOperator([
+        DecimationOperator((8, 8), 2, [(0, 0), (1, 0)]),
         make_circulant((8, 8), np.full((3, 3), 1.0 / 9.0)),
     ])
     dense = densify(op)
@@ -209,9 +209,9 @@ def test_densify_agrees_with_apply(rng):
     lambda: DenseOperator(np.random.default_rng(0).standard_normal((7, 12))),
     lambda: make_circulant((8, 8), np.full((5, 5), 0.04)),
     lambda: make_circulant((6, 9), [[1.0, -2.0, 1.0]], anchor=(0, 1)),
-    lambda: make_decimation((8, 8), 2, [(0, 0), (1, 1), (0, 1)]),
-    lambda: compose([
-        make_decimation((8, 8), 2, [(0, 0), (1, 0)]),
+    lambda: DecimationOperator((8, 8), 2, [(0, 0), (1, 1), (0, 1)]),
+    lambda: ComposedOperator([
+        DecimationOperator((8, 8), 2, [(0, 0), (1, 0)]),
         make_circulant((8, 8), np.full((3, 3), 1.0 / 9.0)),
     ]),
 ])

@@ -16,7 +16,7 @@ from gsgs import (
     simulate_data,
 )
 from gsgs.conjugate import PrecisionModel, densify_precision
-from gsgs.operators import make_circulant, make_decimation
+from gsgs.operators import DecimationOperator, make_circulant
 from gsgs.superres import (
     Hyperparams,
     SuperResModel,
@@ -176,7 +176,7 @@ def test_po_perturbation_identity_forward_variance():
     # With the penalty off and the forward map the identity, the perturbation
     # is N(0, gamma_n I).
     ident = make_circulant((4, 4), [[1.0]], anchor=(0, 0))
-    dec = make_decimation((4, 4), 1, [(0, 0)])
+    dec = DecimationOperator((4, 4), 1, [(0, 0)])
     model = SuperResModel(
         blur=ident, decimation=dec, penalty=make_circulant((4, 4), [[-1, 2, -1]]),
         data=np.zeros(16), hr_shape=(4, 4),
