@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +62,14 @@ class RunConfig:
     data_dir: str = ""
 
     @classmethod
-    def resolve(cls, args):
-        """defaults <- json file <- command-line flags."""
+    def resolve(cls, args, data_keys=()):
+        """defaults <- json file <- command-line flags.
+
+        ``data_keys`` are settings the command reads from its data directory;
+        setting one in the file or by a flag is an error that names it.
+        """
         values = asdict(cls())
+        given = set()
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -72,10 +77,18 @@ class RunConfig:
             if unknown:
                 raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
             values.update(loaded)
+            given.update(loaded)
         for key in values:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
+                given.add(key)
+        clash = [key for key in data_keys if key in given]
+        if clash:
+            raise GsgsError(
+                f"{clash} come from meta.json in the data directory; do not "
+                f"set them by flag or config file"
+            )
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -154,25 +167,36 @@ def cmd_simulate(args):
 
 
 GEOMETRY_KEYS = ("rows", "cols", "factor", "offsets", "blur_width")
+# What `gsgs run` takes from the data directory rather than from its flags:
+# the geometry, and the noise precision the data were simulated with.
+DATA_KEYS = GEOMETRY_KEYS + ("gamma_n_true",)
 
 
-def _load_model(cfg):
-    """The model of a data directory: the geometry recorded in meta.json
-    ("config" keys GEOMETRY_KEYS), the stacked frames in y.f64, and
-    truth.f64 for scoring when present. Hyperprior parameters come from the
-    run config."""
+def _data_settings(cfg):
+    """The DATA_KEYS settings recorded in the data directory's meta.json
+    ("config" keys): the geometry, which must be there, and gamma_n_true,
+    None when not recorded."""
     data_dir = Path(cfg.data_dir or cfg.output_dir)
     meta_path = data_dir / "meta.json"
     if not meta_path.exists():
         raise GsgsError(f"no data found in {data_dir} (missing meta.json)")
     try:
         with open(meta_path) as fh:
-            geometry = json.load(fh).get("config", {})
+            recorded = json.load(fh).get("config", {})
     except json.JSONDecodeError as exc:
         raise GsgsError(f"{meta_path} is not valid JSON: {exc}") from exc
-    missing = [key for key in GEOMETRY_KEYS if key not in geometry]
+    missing = [key for key in GEOMETRY_KEYS if key not in recorded]
     if missing:
         raise GsgsError(f"{meta_path} lacks config keys {missing}")
+    return {key: recorded.get(key) for key in DATA_KEYS}
+
+
+def _load_model(cfg):
+    """The model of a data directory: the geometry recorded in meta.json,
+    the stacked frames in y.f64, and truth.f64 for scoring when present.
+    Hyperprior parameters come from the run config."""
+    data_dir = Path(cfg.data_dir or cfg.output_dir)
+    geometry = _data_settings(cfg)
     shape = (int(geometry["rows"]), int(geometry["cols"]))
     blur, decimation, penalty = geometry_operators(
         shape, geometry["factor"], geometry["offsets"], geometry["blur_width"]
@@ -244,7 +268,9 @@ def _print_estimate_table(reports):
 
 
 def cmd_run(args):
-    cfg = RunConfig.resolve(args)
+    cfg = RunConfig.resolve(args, data_keys=DATA_KEYS)
+    # Record the settings the run actually uses.
+    cfg = replace(cfg, **_data_settings(cfg))
     out = _ensure_writable(cfg.output_dir)
     if cfg.perturbation == "none":
         print("warning: perturbation disabled; chain convergence is not "

@@ -1,14 +1,23 @@
 """Conjugate direction sets and exact Gaussian sampling along them.
 
 A precision is any object with ``dim``, ``b`` (= Q m), ``apply`` (Q x),
-``gradient`` (Q x - b) and ``draw_noise`` (one N(0, Q) draw); `PrecisionModel`
-is the generic one, in factored form. `build_conjugate_set` grows a set of
-unit directions that are mutually conjugate with respect to Q (a three-term
-Krylov recurrence plus one re-conjugation pass), and `sample_along` draws the
-exact Gaussian coefficients of the target N(m, Q^{-1}) along those
-directions. With a full set (as many directions as dimensions) one call
-produces an exact draw from the target; with fewer it is an exact draw from
-the conditional restricted to the spanned affine subspace.
+``gradient`` (Q x - b) and ``draw_noise`` (one N(0, Q) draw), all on pixel
+vectors, plus the coordinates the engine's x-step runs in: ``encode`` and
+``decode``, an orthogonal change to those coordinates and back, and
+``coordinates``, the same precision there, whose ``dim``, ``b``, ``apply``,
+``gradient`` and ``draw_noise`` act on coordinate vectors. Coordinates may
+differ from the pixels and hold more values than there are pixels: the
+spectral super-resolution precision runs in Fourier alias coordinates, where
+its product needs no FFT. `PrecisionModel`, the generic precision in factored
+form, runs in the pixels.
+
+`build_conjugate_set` grows, in whatever coordinates its precision works in,
+a set of unit directions that are mutually conjugate with respect to Q (a
+three-term Krylov recurrence plus one re-conjugation pass), and
+`sample_along` draws the exact Gaussian coefficients of the target
+N(m, Q^{-1}) along those directions. With a full set (as many directions as
+dimensions) one call produces an exact draw from the target; with fewer it is
+an exact draw from the conditional restricted to the spanned affine subspace.
 """
 
 from math import sqrt
@@ -84,6 +93,17 @@ class PrecisionModel:
         """Gradient of the quadratic potential: Q x - b = Q (x - m)."""
         return self.apply(x) - self.b
 
+    @property
+    def coordinates(self):
+        """This precision in the x-step's coordinates, which are the pixels."""
+        return self
+
+    def encode(self, x):
+        return x
+
+    def decode(self, u):
+        return u
+
     def draw_noise(self, rng):
         """One draw from N(0, Q) using the factored form of Q.
 
@@ -155,7 +175,8 @@ def build_conjugate_set(precision, d1, n_dirs):
     (CG/Lanczos) removes those two Q-projections. One classical Gram-Schmidt
     pass against *all* kept directions in the Q inner product then removes
     what rounding leaks onto the older ones. That pass, O(n_dirs^2 * dim),
-    is still about half of the build at n_dirs = 150 on a 64x64 image.
+    is over nine tenths of the build at n_dirs = 150 on a 64x64 image in
+    alias coordinates, where a Q-apply takes no FFT.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated

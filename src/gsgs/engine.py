@@ -32,9 +32,10 @@ class ThetaModel:
     """Hooks the engine needs from a concrete model.
 
     Subclasses supply the theta conditional and the precision of x | theta.
-    ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of the
-    precision the engine built for theta, which is what the
-    guaranteed-convergence mode expects.
+    ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of
+    ``precision``, the ``coordinates`` of the precision the engine built for
+    theta, so the draw is in the coordinates the x-step runs in; that draw is
+    what the guaranteed-convergence mode expects.
     """
 
     def sample_theta(self, x, rng):
@@ -217,11 +218,12 @@ class ChainRecord:
 
 
 def _draw_perturbation(model, theta, precision, state, cfg):
+    """The gradient perturbation in the precision's coordinates, or None."""
     if cfg.perturbation == "none" or state.t % cfg.perturbation_period != 0:
         return None
     if cfg.perturbation == "iid_normal":
-        return standard_normal_vector(state.rng, precision.dim)
-    return model.perturbation_at(theta, state.rng, precision=precision)
+        return precision.encode(standard_normal_vector(state.rng, precision.dim))
+    return model.perturbation_at(theta, state.rng, precision=precision.coordinates)
 
 
 def gsgs_step(model, state, cfg):
@@ -229,19 +231,24 @@ def gsgs_step(model, state, cfg):
 
     Order of operations: theta draw, gradient at the current x, optional
     gradient perturbation, conjugate set seeded by the perturbed gradient,
-    exact coefficient draws, x update. A zero seed direction (gradient and
-    perturbation both zero, i.e. x sits exactly at the conditional mean) skips
-    the x update for this iteration rather than failing: it has probability
-    zero under continuous theta draws.
+    exact coefficient draws, x update. Everything between the theta draw and
+    the x update runs in the precision's own coordinates (see
+    `gsgs.conjugate`): x is encoded once and the new point decoded once, and
+    the direction count is capped by the pixel count. A zero seed direction
+    (gradient and perturbation both zero, i.e. x sits exactly at the
+    conditional mean) skips the x update for this iteration rather than
+    failing: it has probability zero under continuous theta draws.
     """
     rng = state.rng
     theta = model.sample_theta(state.x, rng)
     precision = model.precision_at(theta)
-    gradient = precision.apply(state.x) - precision.b
+    coords = precision.coordinates
+    u = precision.encode(state.x)
+    gradient = coords.gradient(u)
     eps = _draw_perturbation(model, theta, precision, state, cfg)
     d1 = gradient if eps is None else gradient + eps
 
-    potential = 0.5 * (state.x @ gradient - state.x @ precision.b)
+    potential = 0.5 * (u @ gradient - u @ coords.b)
 
     if not d1.any():
         logger.warning("zero seed direction at iteration %d; skipping x update", state.t + 1)
@@ -255,8 +262,9 @@ def gsgs_step(model, state, cfg):
         }
         return state
 
-    cset = build_conjugate_set(precision, d1, min(cfg.n_dirs, precision.dim))
-    x_new, alphas = sample_along(precision, cset, state.x, rng, gradient=gradient)
+    cset = build_conjugate_set(coords, d1, min(cfg.n_dirs, precision.dim))
+    u_new, alphas = sample_along(coords, cset, u, rng, gradient=gradient)
+    x_new = precision.decode(u_new)
     if not np.isfinite(x_new).all():
         raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
 

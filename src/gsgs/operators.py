@@ -159,15 +159,15 @@ class DecimationOperator(LinearOperator):
         return out.ravel()
 
     def coverage(self):
-        """D^T 1 on the grid: how many frames sample each pixel.
+        """D^T 1 on one factor x factor cell: how many frames sample each
+        pixel, which repeats with period ``factor`` over the grid.
 
         D^T D is the diagonal matrix of these counts; an offset listed twice
         counts twice.
         """
-        out = np.zeros(self.hr_shape)
-        f = self.factor
+        out = np.zeros((self.factor, self.factor))
         for dr, dc in self.offsets:
-            out[dr::f, dc::f] += 1.0
+            out[dr, dc] += 1.0
         return out
 
 
@@ -212,7 +212,8 @@ def make_circulant(shape, kernel, anchor=None):
         the stencil centre, ``((kr - 1) // 2, (kc - 1) // 2)``.
 
     The spectrum is computed once, as the 2-D FFT of the stencil zero-padded
-    onto the grid with the anchor tap wrapped to position (0, 0).
+    onto the grid with the anchor tap wrapped to position (0, 0): the
+    real-input half-plane, extended to the full plane by Hermitian symmetry.
     """
     kernel = np.atleast_2d(np.asarray(kernel, dtype=float))
     rows, cols = int(shape[0]), int(shape[1])
@@ -224,11 +225,20 @@ def make_circulant(shape, kernel, anchor=None):
     ar, ac = int(anchor[0]), int(anchor[1])
     if not (0 <= ar < kr and 0 <= ac < kc):
         raise ConfigurationError(f"anchor {anchor} outside stencil {kernel.shape}")
+    # Tap (i, j) lands on ((i - ar) % rows, (j - ac) % cols).
     padded = np.zeros((rows, cols))
-    row_idx = (np.arange(kr) - ar) % rows
-    col_idx = (np.arange(kc) - ac) % cols
-    padded[np.ix_(row_idx, col_idx)] = kernel
-    return CirculantOperator((rows, cols), np.fft.fft2(padded))
+    padded[: kr - ar, : kc - ac] = kernel[ar:, ac:]
+    padded[: kr - ar, cols - ac :] = kernel[ar:, :ac]
+    padded[rows - ar :, : kc - ac] = kernel[:ar, ac:]
+    padded[rows - ar :, cols - ac :] = kernel[:ar, :ac]
+    half_cols = cols // 2 + 1
+    spectrum = np.empty((rows, cols), dtype=complex)
+    spectrum[:, :half_cols] = np.fft.rfft2(padded)
+    # S[r, c] = conj(S[-r, -c]) past the half-plane.
+    mirrored = spectrum[:, cols - half_cols : 0 : -1]
+    np.conjugate(mirrored[:1], out=spectrum[:1, half_cols:])
+    np.conjugate(mirrored[:0:-1], out=spectrum[1:, half_cols:])
+    return CirculantOperator((rows, cols), spectrum)
 
 
 def densify(op, max_entries=DENSIFY_CAP):

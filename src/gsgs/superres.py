@@ -8,12 +8,19 @@ posterior is explored by the gradient-scan Gibbs engine with the N(0, Q)
 gradient perturbation.
 
 When blur and penalty are circulant on the grid the decimation selects from,
-the precision of x | theta is diagonalized by the 2-D DFT up to the per-pixel
-frame count, and `build_precision` returns a `SpectralPrecision` that applies
-Q in 4 FFTs and draws N(0, Q) in 3. Any other operators get the factored
-`PrecisionModel`.
+the precision of x | theta is block-diagonal in Fourier space: the per-pixel
+frame count has the period of the decimation factor f, so it couples only
+the f^2 frequencies that alias onto one low-resolution frequency.
+`build_precision` then returns a `SpectralPrecision`, and the engine's x-step
+runs in its alias coordinates: encoding x and decoding the new point cost one
+FFT each, a Q-apply there (`AliasPrecision`) costs none and an N(0, Q) draw
+costs 2. Its pixel-space Q-apply costs 2 FFTs and its pixel-space N(0, Q)
+draw 3. Any other operators get the factored `PrecisionModel`, whose
+coordinates are the pixels; dense blur and decimation are multiplied into one
+forward matrix.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ from .operators import (
     CirculantOperator,
     ComposedOperator,
     DecimationOperator,
+    DenseOperator,
     make_circulant,
 )
 from .rng import RngState, gamma_draw, standard_normal_vector
@@ -101,14 +109,26 @@ class SuperResModel:
         self.alpha_n, self.beta_n = float(alpha_n), float(beta_n)
         self.alpha_x, self.beta_x = float(alpha_x), float(beta_x)
         self.truth = None if truth is None else np.asarray(truth, dtype=float).copy()
-        self.forward = ComposedOperator([decimation, blur])
+        if isinstance(blur, DenseOperator) and isinstance(decimation, DenseOperator):
+            # One matrix: two mat-vecs per forward and adjoint pair, not four.
+            self.forward = DenseOperator(decimation.matrix @ blur.matrix)
+        else:
+            self.forward = ComposedOperator([decimation, blur])
         self.n_pixels = n
         self.n_data = decimation.out_dim
         # Penalty rank: periodic Laplacian annihilates exactly the constants.
         self.penalty_rank = n - 1
-        self._forward_t_data = self.forward.adjoint_apply(data)
         # None unless the operators admit the spectral precision.
         self.spectra = GridSpectra.of(blur, decimation, penalty)
+        if self.spectra is None:
+            self._forward_t_data = self.forward.adjoint_apply(data)
+        else:
+            # forward^T data through its half-plane spectrum, which also gives
+            # its alias coordinates.
+            half = np.fft.rfft2(decimation.adjoint_apply(data).reshape(rows, cols))
+            half *= blur.half_spectrum_conj
+            self._forward_t_data = np.fft.irfft2(half, s=(rows, cols)).ravel()
+            self._forward_t_data_coords = self.spectra.to_coords(half)
 
     def backprojection(self):
         """forward^T applied to the data; the default chain start."""
@@ -118,20 +138,40 @@ class SuperResModel:
 @dataclass(frozen=True)
 class GridSpectra:
     """What the spectral precision needs from periodic super-resolution
-    operators, read off the operators themselves (no FFT, no adjoint pass).
+    operators, read off the operators themselves (no FFT, no adjoint pass),
+    and the alias coordinates it runs in.
 
     ``blur``/``blur_conj`` are the blur's half-plane spectrum and its
-    conjugate, ``penalty_conj`` and ``penalty_power`` are conj(P) and |P|^2 of
-    the penalty's, and ``mask`` is D^T 1, the frame count of every pixel.
+    conjugate, ``penalty_conj`` of the penalty's, and ``mask`` is D^T 1, the
+    frame count of every pixel, on one f x f cell (it repeats with period f).
+
+    Alias coordinates: with decimation factor f, the mask has period f, so
+    multiplying by it couples only the f^2 frequencies k + (a rows/f,
+    c cols/f) that alias onto one low-resolution frequency. The coordinates
+    hold the full spectrum of an image at every frequency whose
+    low-resolution column lies in the half-plane [0, (cols/f)//2], grouped as
+    (column alias class, row, column), read from its rfft2 half-plane by
+    slices (`to_coords`). Scaled by sqrt(w / n_pixels) (w = 1 on
+    self-conjugate low-resolution columns, 2 elsewhere) and viewed as real,
+    they are an orthogonal change of coordinates: ``encode`` preserves inner
+    products and ``decode`` inverts it. There Q x is
+    gamma_n conj(H) K (H U) + gamma_x |P|^2 U, with ``coord_blur`` H and
+    ``coord_penalty_power`` |P|^2 the blur and penalty spectra in the same
+    layout, and ``coupling`` K the f^2 x f^2 alias-coupling matrix, built
+    from the f x f DFT of the mask cell. Every array is built in model
+    construction, from slices of the operators' spectra.
     """
 
     shape: tuple
-    blur: np.ndarray
     blur_conj: np.ndarray
     penalty_conj: np.ndarray
-    penalty_power: np.ndarray
     mask: np.ndarray
     decimation: DecimationOperator
+    coord_blur: np.ndarray
+    coord_blur_conj: np.ndarray
+    coord_penalty_power: np.ndarray
+    coupling: np.ndarray
+    scale: np.ndarray
 
     @classmethod
     def of(cls, blur, decimation, penalty):
@@ -142,68 +182,186 @@ class GridSpectra:
                 and isinstance(decimation, DecimationOperator)
                 and blur.shape == penalty.shape == decimation.hr_shape):
             return None
+        rows, cols = blur.shape
+        f = decimation.factor
+        lr_cols = cols // f
+        half_cols = lr_cols // 2 + 1
+        # sqrt(w / n_pixels): w = 1 on the self-conjugate columns 0 and
+        # lr_cols / 2, 2 elsewhere.
+        scale = np.full(half_cols, math.sqrt(2.0 / (rows * cols)))
+        scale[0] = scale[-1 if lr_cols % 2 == 0 else 0] = math.sqrt(1.0 / (rows * cols))
+        mask = decimation.coverage()
+        dft, dft_conj = _alias_dft(f)
+        coord_blur = _alias_columns(blur.kernel_spectrum, f, half_cols)
+        coord_penalty = _alias_columns(penalty.kernel_spectrum, f, half_cols)
         return cls(
             shape=blur.shape,
-            blur=blur.half_spectrum,
             blur_conj=blur.half_spectrum_conj,
             penalty_conj=penalty.half_spectrum_conj,
-            penalty_power=(penalty.half_spectrum * penalty.half_spectrum_conj).real,
-            mask=decimation.coverage(),
+            mask=mask,
             decimation=decimation,
+            coord_blur=coord_blur,
+            coord_blur_conj=np.conj(coord_blur),
+            coord_penalty_power=coord_penalty.real**2 + coord_penalty.imag**2,
+            coupling=(dft * mask.T.ravel()) @ dft_conj,
+            scale=scale,
         )
+
+    def to_coords(self, half):
+        """Alias coordinates, as a real vector, of the rfft2 half-plane ``half``.
+
+        Column class s holds the columns s * lr_cols + j, 0 <= j < half_cols.
+        For 2 s < f they lie in the half-plane. Otherwise the spectrum there
+        is the conjugate of the half-plane at the negated frequency: the
+        mirrored columns (f - s) * lr_cols - j with the rows negated (row 0
+        stays, row r comes from row rows - r).
+        """
+        rows, cols = self.shape
+        f = self.decimation.factor
+        lr_cols, half_cols = cols // f, self.scale.size
+        out = np.empty((f, rows, half_cols), dtype=complex)
+        for s in range(f):
+            if 2 * s < f:
+                out[s] = half[:, s * lr_cols : s * lr_cols + half_cols]
+            else:
+                start = (f - s) * lr_cols
+                mirrored = half[:, start : start - half_cols : -1]
+                np.conjugate(mirrored[:1], out=out[s, :1])
+                np.conjugate(mirrored[:0:-1], out=out[s, 1:])
+        out *= self.scale
+        return out.reshape(-1).view(float)
+
+    def encode(self, x):
+        """Alias coordinates of the image x: one FFT."""
+        return self.to_coords(np.fft.rfft2(x.reshape(self.shape)))
+
+    def decode(self, u):
+        """The image with alias coordinates u, through its rfft2 half-plane
+        (`to_coords` backwards): one FFT."""
+        rows, cols = self.shape
+        f = self.decimation.factor
+        lr_cols, half_cols = cols // f, self.scale.size
+        classes = u.view(complex).reshape(f, rows, half_cols) / self.scale
+        half = np.empty((rows, cols // 2 + 1), dtype=complex)
+        for s in range(f):
+            if 2 * s < f:
+                half[:, s * lr_cols : s * lr_cols + half_cols] = classes[s]
+            else:
+                start = (f - s) * lr_cols
+                mirrored = half[:, start : start - half_cols : -1]
+                np.conjugate(classes[s, :1], out=mirrored[:1])
+                np.conjugate(classes[s, 1:], out=mirrored[:0:-1])
+        return np.fft.irfft2(half, s=self.shape).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _alias_dft(f):
+    """V / f and its conjugate transpose, read-only, where
+    V[a, p] = exp(-2 pi i (a_r p_r + a_c p_c) / f) over alias indices
+    a = a_c f + a_r and mask cell positions p = p_c f + p_r.
+
+    The mask multiplies the spectrum at k by sum_a c_a times the spectrum at
+    k - a (rows/f, cols/f), with c = (f x f DFT of the mask cell) / f^2, so
+    the alias-coupling matrix K[a, a'] = c_{a - a'} is
+    (V / f) diag(mask cell) (V / f)^H.
+    """
+    phases = np.exp(-2j * np.pi * np.outer(np.arange(f), np.arange(f)) / f)
+    dft = np.kron(phases, phases) / f
+    dft_conj = dft.conj().T
+    dft.flags.writeable = dft_conj.flags.writeable = False
+    return dft, dft_conj
+
+
+def _alias_columns(full, f, half_cols):
+    """The full spectrum ``full`` at the alias-coordinate frequencies, as an
+    (f^2, rows/f * half_cols) array: one strided copy."""
+    rows, cols = full.shape
+    classes = full.reshape(rows, f, cols // f)[:, :, :half_cols].transpose(1, 0, 2)
+    return np.ascontiguousarray(classes).reshape(f * f, -1)
 
 
 class SpectralPrecision:
-    """Q = gamma_n B^T diag(mask) B + gamma_x P^T P, applied in Fourier space.
+    """Q = gamma_n B^T diag(mask) B + gamma_x P^T P, for periodic B and P.
 
-    B and P are circulant and D is a frame selection, so D^T D = diag(mask)
-    and, with X = rfft2(x),
-
-        Q x = irfft2(gamma_n conj(B) rfft2(mask * irfft2(B X))
-                     + gamma_x |P|^2 X)
-
-    costs 4 FFTs. A zero gamma_x drops the prior term. ``b`` = Q m is passed
-    in, as for `PrecisionModel`, whose interface this shares.
+    The x-step runs in the alias coordinates of `GridSpectra`: ``encode`` and
+    ``decode`` change to and from them (one FFT each), and ``coordinates`` is
+    this precision there, an `AliasPrecision` whose Q-apply takes no FFT.
+    ``apply`` is the pixel-space product decode(Q encode(x)), 2 FFTs, and
+    ``draw_noise`` a pixel-space N(0, Q) draw in 3. ``b`` = Q m is passed in,
+    as for `PrecisionModel`, whose interface this shares, together with b's
+    coordinates ``b_coords``.
     """
 
-    def __init__(self, spectra, gamma_n, gamma_x, b):
+    def __init__(self, spectra, gamma_n, gamma_x, b, b_coords):
         self.spectra = spectra
-        self.dim = spectra.mask.size
-        self.gamma_n = float(gamma_n)
-        self.gamma_x = float(gamma_x)
+        self.dim = spectra.shape[0] * spectra.shape[1]
         self.b = b
-        self.data_spectrum = self.gamma_n * spectra.blur_conj
-        self.prior_spectrum = (
-            self.gamma_x * spectra.penalty_power if self.gamma_x > 0 else None
-        )
+        self.coordinates = AliasPrecision(spectra, gamma_n, gamma_x, b_coords)
+        self.prior_spectrum = self.coordinates.prior_spectrum
+        self.encode = spectra.encode
+        self.decode = spectra.decode
 
     def apply(self, x):
         """Q x."""
         if x.shape != (self.dim,):
             raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
-        spectra = self.spectra
-        shape = spectra.shape
-        spec = np.fft.rfft2(x.reshape(shape))
-        seen = np.fft.irfft2(spec * spectra.blur, s=shape)
-        seen *= spectra.mask
-        out = np.fft.rfft2(seen)
-        out *= self.data_spectrum
-        if self.prior_spectrum is not None:
-            out += self.prior_spectrum * spec
-        return np.fft.irfft2(out, s=shape).ravel()
+        return self.decode(self.coordinates.apply(self.encode(x)))
 
     def gradient(self, x):
         """Gradient of the quadratic potential: Q x - b = Q (x - m)."""
         return self.apply(x) - self.b
 
     def draw_noise(self, rng):
-        """One draw from N(0, Q) in 3 FFTs.
+        """One draw from N(0, Q), 3 FFTs: `AliasPrecision.draw_noise`, decoded."""
+        return self.decode(self.coordinates.draw_noise(rng))
 
+
+class AliasPrecision:
+    """The spectral precision in alias coordinates (see `GridSpectra`).
+
+    Q U = gamma_n conj(H) K (H U) + gamma_x |P|^2 U: elementwise products and
+    one f^2 x f^2 matrix product, no FFT. A zero gamma_x drops the prior
+    term. Same interface as `PrecisionModel`, on vectors of ``dim`` =
+    2 f^2 (rows/f) ((cols/f)//2 + 1) reals, more than the pixel count; the
+    image space is the subspace ``encode`` maps onto, which Q preserves.
+    """
+
+    def __init__(self, spectra, gamma_n, gamma_x, b):
+        self.spectra = spectra
+        self.dim = b.size
+        self.b = b
+        self.gamma_n = float(gamma_n)
+        self.gamma_x = float(gamma_x)
+        self.coupling = self.gamma_n * spectra.coupling
+        self.prior_spectrum = (
+            self.gamma_x * spectra.coord_penalty_power if self.gamma_x > 0 else None
+        )
+
+    def apply(self, u):
+        """Q u."""
+        if u.shape != (self.dim,):
+            raise DimensionError(f"expected input of shape ({self.dim},), got {u.shape}")
+        spectra = self.spectra
+        classes = u.view(complex).reshape(spectra.coord_blur.shape)
+        out = self.coupling @ (spectra.coord_blur * classes)
+        out *= spectra.coord_blur_conj
+        if self.prior_spectrum is not None:
+            out += self.prior_spectrum * classes
+        return out.reshape(-1).view(float)
+
+    def gradient(self, u):
+        """Gradient of the quadratic potential: Q u - b."""
+        return self.apply(u) - self.b
+
+    def draw_noise(self, rng):
+        """One draw from N(0, Q) in alias coordinates, 2 FFTs.
+
+        The coordinates of
         eps = irfft2(sqrt(gamma_n) conj(B) rfft2(D^T z_data)
-                     + sqrt(gamma_x) conj(P) rfft2(z_pix))
-        with standard normal z's of the data and pixel dimensions, drawn in
-        that order, has covariance gamma_n B^T D^T D B + gamma_x P^T P = Q.
-        A zero gamma_x draws no z_pix.
+                     + sqrt(gamma_x) conj(P) rfft2(z_pix)),
+        read off the half-plane sum, with standard normal z's of the data and
+        pixel dimensions, drawn in that order: eps has covariance
+        gamma_n B^T D^T D B + gamma_x P^T P = Q. A zero gamma_x draws no z_pix.
         """
         spectra = self.spectra
         shape = spectra.shape
@@ -212,9 +370,9 @@ class SpectralPrecision:
         out = np.fft.rfft2(decimation.adjoint_apply(z_data).reshape(shape))
         out *= math.sqrt(self.gamma_n) * spectra.blur_conj
         if self.gamma_x > 0:
-            z_pix = standard_normal_vector(rng, self.dim).reshape(shape)
+            z_pix = standard_normal_vector(rng, shape[0] * shape[1]).reshape(shape)
             out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * np.fft.rfft2(z_pix)
-        return np.fft.irfft2(out, s=shape).ravel()
+        return spectra.to_coords(out)
 
 
 def phantom(shape):
@@ -293,7 +451,8 @@ def build_precision(model, hp):
     """
     b = hp.gamma_n * model._forward_t_data
     if model.spectra is not None:
-        return SpectralPrecision(model.spectra, hp.gamma_n, hp.gamma_x, b)
+        return SpectralPrecision(model.spectra, hp.gamma_n, hp.gamma_x, b,
+                                 hp.gamma_n * model._forward_t_data_coords)
     factors = [(model.forward, hp.gamma_n)]
     if hp.gamma_x > 0:
         factors.append((model.penalty, hp.gamma_x))

@@ -14,8 +14,9 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-SMALL = ["--rows", "16", "--cols", "16", "--n-dirs", "4", "--max-iters", "120",
-         "--burn-in", "30", "--thinning", "30",
+# The grid goes to `simulate` only: `run` reads it from the data directory.
+GRID = ["--rows", "16", "--cols", "16"]
+SMALL = ["--n-dirs", "4", "--max-iters", "120", "--burn-in", "30", "--thinning", "30",
          "--alpha-n", "0.1", "--beta-n", "0.1", "--alpha-x", "0.1", "--beta-x", "0.1"]
 
 
@@ -34,7 +35,7 @@ def test_simulate_default_geometry(tmp_path):
 def test_simulate_seed_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run_cli("simulate", "-o", out, "--seed", "7", *SMALL) == 0
+        assert run_cli("simulate", "-o", out, "--seed", "7", *GRID, *SMALL) == 0
     assert (a / "y.f64").read_bytes() == (b / "y.f64").read_bytes()
     assert (a / "truth.f64").read_bytes() == (b / "truth.f64").read_bytes()
 
@@ -52,7 +53,7 @@ def test_simulate_high_noise_residual_variance(tmp_path):
 
 def test_run_produces_outputs_and_report(tmp_path):
     sim, out = tmp_path / "sim", tmp_path / "run"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
     for name in ("pm.f64", "pm.pgm", "psd.f64", "psd.pgm", "chain.csv",
                  "report.json", "resolved_config.json"):
@@ -69,7 +70,7 @@ def test_run_produces_outputs_and_report(tmp_path):
 
 def test_run_without_truth_reports_no_truth_error(tmp_path):
     sim, out = tmp_path / "sim", tmp_path / "run"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     (sim / "truth.f64").unlink()
     assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
     report = json.loads((out / "report.json").read_text())
@@ -107,16 +108,68 @@ def test_run_on_hand_written_geometry(tmp_path, capsys):
 def test_run_rejects_files_that_do_not_fit_the_geometry(tmp_path, capsys, name, shape,
                                                         expected):
     sim = tmp_path / "sim"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     write_image_f64(sim / name, np.zeros(shape))
     assert run_cli("run", "--data-dir", sim, "-o", tmp_path / "run", *SMALL) == 1
     err = capsys.readouterr().err
     assert all(count in err for count in expected)
 
 
+@pytest.mark.parametrize("flag, key", [
+    ("--rows", "rows"), ("--cols", "cols"), ("--factor", "factor"),
+    ("--blur-width", "blur_width"), ("--gamma-n", "gamma_n_true"),
+])
+def test_run_rejects_data_settings_as_flags(tmp_path, capsys, flag, key):
+    # The data directory fixes these; a flag for one would be ignored and
+    # misrecorded, so it is an error naming the setting.
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--data-dir", sim, "-o", tmp_path / "run", flag, "3",
+                   *SMALL) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_run_rejects_data_settings_in_config_file(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"offsets": [[0, 0]], "gamma_n_true": 7.0, "seed": 3}))
+    assert run_cli("run", "--config", cfg_path, "--data-dir", sim,
+                   "-o", tmp_path / "run", *SMALL) == 1
+    err = capsys.readouterr().err
+    assert "offsets" in err and "gamma_n_true" in err and "seed" not in err
+
+
+def test_run_records_the_data_directory_settings(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", "--blur-width", "3",
+                   "--gamma-n", "4", *GRID, *SMALL) == 0
+    assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    meta = json.loads((sim / "meta.json").read_text())["config"]
+    for key in ("rows", "cols", "factor", "offsets", "blur_width", "gamma_n_true"):
+        assert resolved[key] == meta[key], key
+    assert (resolved["rows"], resolved["blur_width"], resolved["gamma_n_true"]) == (16, 3, 4.0)
+    # A hand-written geometry records no simulation noise level.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "y.f64").write_bytes((sim / "y.f64").read_bytes())
+    geometry = {key: meta[key] for key in ("rows", "cols", "factor", "offsets", "blur_width")}
+    (data_dir / "meta.json").write_text(json.dumps({"config": geometry}))
+    multi = tmp_path / "multi"
+    assert run_cli("run", "--data-dir", data_dir, "-o", multi, "--chains", "2", *SMALL) == 0
+    for path in (multi / "resolved_config.json", multi / "chain_01" / "resolved_config.json"):
+        resolved = json.loads(path.read_text())
+        assert {key: resolved[key] for key in geometry} == geometry
+        assert resolved["gamma_n_true"] is None
+
+
 def test_load_model_matches_simulated_model(tmp_path):
     sim = tmp_path / "sim"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     cfg = RunConfig(data_dir=str(sim), alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
     loaded = _load_model(cfg)
     simulated = simulate_data(
@@ -131,7 +184,7 @@ def test_load_model_matches_simulated_model(tmp_path):
 
 def test_run_is_seed_deterministic(tmp_path):
     sim = tmp_path / "sim"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     outs = []
     for name in ("r1", "r2"):
         out = tmp_path / name
@@ -142,7 +195,7 @@ def test_run_is_seed_deterministic(tmp_path):
 
 def test_run_warns_without_perturbation(tmp_path, capsys):
     sim, out = tmp_path / "sim", tmp_path / "run"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     assert run_cli("run", "--data-dir", sim, "-o", out, "--perturbation", "none",
                    "--seed", "5", *SMALL) == 0
     assert "convergence is not guaranteed" in capsys.readouterr().err
@@ -150,7 +203,7 @@ def test_run_warns_without_perturbation(tmp_path, capsys):
 
 def test_run_literal_shapes_flag_is_recorded_and_active(tmp_path):
     sim = tmp_path / "sim"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     plain, literal = tmp_path / "plain", tmp_path / "literal"
     assert run_cli("run", "--data-dir", sim, "-o", plain, "--seed", "5", *SMALL) == 0
     assert run_cli("run", "--data-dir", sim, "-o", literal, "--seed", "5",
@@ -185,7 +238,7 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 def test_multi_chain_fanout(tmp_path, monkeypatch):
     monkeypatch.setenv("GSGS_THREADS", "2")
     sim, out = tmp_path / "sim", tmp_path / "multi"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     assert run_cli("run", "--data-dir", sim, "-o", out, "--chains", "2",
                    "--seed", "5", *SMALL) == 0
     merged = json.loads((out / "report.json").read_text())
@@ -198,7 +251,7 @@ def test_multi_chain_fanout(tmp_path, monkeypatch):
 
 def test_diagnose_reads_chain(tmp_path):
     sim, out = tmp_path / "sim", tmp_path / "run"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *SMALL) == 0
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
     assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
     report_path = tmp_path / "diag.json"
     assert run_cli("diagnose", "--chain", out / "chain.csv", "--burn-in", "30",

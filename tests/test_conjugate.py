@@ -101,6 +101,10 @@ def test_desk_scale_k150_stays_conjugate(gamma_x):
     cset = build_conjugate_set(precision, d1, 150)
     assert len(cset) == 150
     assert cset.conjugacy_defect() <= 1e-8
+    # The same build in the alias coordinates the chain's x-step runs in.
+    cset = build_conjugate_set(precision.coordinates, precision.encode(d1), 150)
+    assert len(cset) == 150
+    assert cset.conjugacy_defect() <= 1e-8
 
 
 @pytest.mark.parametrize("gamma_x", [0.05, 1e4])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from gsgs import (
+    ChainState,
     DegenerateScaleError,
     FixedGaussianModel,
     GsgsConfig,
     RngState,
     densify,
+    gsgs_step,
     phantom,
     run_chain,
     simulate_data,
@@ -114,6 +116,37 @@ def test_spectral_precision_matches_explicit_grams(shape, factor, frames, gamma_
     d_mat = densify(model.penalty).matrix
     expected = hp.gamma_n * a_mat.T @ a_mat + hp.gamma_x * d_mat.T @ d_mat
     np.testing.assert_allclose(densify_precision(precision), expected, atol=1e-12)
+
+
+ALIAS_GEOMETRIES = [
+    ((64, 64), 2, ((0, 0), (1, 0), (0, 1))),
+    ((6, 9), 3, ((0, 0), (2, 1))),  # odd column count
+    ((12, 18), 3, ((0, 0), (2, 1), (1, 2))),
+    ((6, 10), 2, ((0, 0), (1, 0), (0, 1))),  # odd low-resolution column count
+    ((1, 15), 1, ((0, 0),)),  # 1-D deconvolution
+    ((8, 8), 2, ((0, 0), (1, 1), (0, 0))),  # repeated offset: mask = 2
+]
+
+
+@pytest.mark.parametrize("shape, factor, frames", ALIAS_GEOMETRIES)
+def test_alias_coordinates_are_orthogonal(shape, factor, frames):
+    # encode is an isometry onto a subspace of its coordinates, decode its
+    # inverse there, and Q in coordinates is Q in pixels read through them.
+    model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(40))
+    precision = build_precision(model, Hyperparams(gamma_n=0.7, gamma_x=2.5))
+    gen = np.random.default_rng(41)
+    x, y = gen.standard_normal((2, model.n_pixels))
+    u, v = precision.encode(x), precision.encode(y)
+    assert u.size == 2 * factor * shape[0] * (shape[1] // factor // 2 + 1)
+    assert np.abs(precision.decode(u) - x).max() <= 1e-12
+    assert abs(u @ v - x @ y) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(u @ u - x @ x) <= 1e-12 * (x @ x)
+    coords = precision.coordinates
+    qx = precision.apply(x)
+    np.testing.assert_allclose(coords.apply(u), precision.encode(qx),
+                               atol=1e-12 * np.linalg.norm(qx))
+    np.testing.assert_allclose(coords.b, precision.encode(precision.b),
+                               atol=1e-12 * np.linalg.norm(precision.b))
 
 
 def test_gradient_at_zero_is_negative_backprojection():
@@ -243,6 +276,40 @@ def test_pinned_low_prior_mean_approaches_normal_equation_solution():
     record = run_chain(FixedGaussianModel(precision), model.backprojection(), cfg)
     rel_err = np.linalg.norm(record.mean_x - oracle) / np.linalg.norm(oracle)
     assert rel_err < 0.01
+
+
+@pytest.mark.parametrize("perturbation", ["factored_q", "none", "iid_normal"])
+@pytest.mark.parametrize("n_dirs", [1, 3, 10])
+@pytest.mark.parametrize("shape, factor, frames", [
+    ((8, 8), 2, ((0, 0), (1, 1))),
+    ((6, 9), 3, ((0, 0), (2, 1))),
+])
+def test_spectral_step_matches_dense_step(shape, factor, frames, n_dirs, perturbation):
+    # One chain step in alias coordinates against the same step on the same
+    # matrices in pixels, from one state and one stream: the stream layout
+    # (theta, z_data, z_pix, coefficients) is shared, so they agree to rounding.
+    sim = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(50),
+                        alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
+    dense = SuperResModel(
+        blur=densify(sim.blur), decimation=densify(sim.decimation),
+        penalty=densify(sim.penalty), data=sim.data, hr_shape=sim.hr_shape,
+        alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1,
+    )
+    assert isinstance(build_precision(dense, Hyperparams(1.0, 1.0)), PrecisionModel)
+    cfg = GsgsConfig(n_dirs=n_dirs, max_iters=1, perturbation=perturbation)
+    x0 = sim.backprojection()
+    states = []
+    for model in (sim, dense):
+        state = ChainState(x=x0.copy(), theta=None, t=0, rng=RngState(51))
+        states.append(gsgs_step(SuperResThetaModel(model), state, cfg))
+    spectral, pixels = states
+    assert spectral.last_step["n_dirs"] == pixels.last_step["n_dirs"] == n_dirs
+    assert spectral.theta.gamma_n == pytest.approx(pixels.theta.gamma_n, rel=1e-12)
+    assert spectral.theta.gamma_x == pytest.approx(pixels.theta.gamma_x, rel=1e-12)
+    gap = np.linalg.norm(spectral.x - pixels.x) / np.linalg.norm(pixels.x)
+    assert gap <= 1e-9
+    assert spectral.last_step["potential"] == pytest.approx(
+        pixels.last_step["potential"], rel=1e-9)
 
 
 def test_run_superres_shapes_and_record():
