@@ -283,7 +283,10 @@ def cmd_run(args):
         workers = chains
         cap = os.environ.get("GSGS_THREADS")
         if cap:
-            workers = max(1, min(workers, int(cap)))
+            try:
+                workers = max(1, min(workers, int(cap)))
+            except ValueError:
+                raise GsgsError(f"GSGS_THREADS must be an integer, got {cap!r}") from None
         payloads = [
             (asdict(cfg), cfg.seed + i, str(out / f"chain_{i:02d}"))
             for i in range(chains)
@@ -312,6 +315,8 @@ def cmd_diagnose(args):
         header = next(reader)
         rows = np.array([[float(v) for v in row] for row in reader])
     burn = args.burn_in
+    if burn < 0:
+        raise GsgsError(f"burn_in {burn} is negative")
     if burn >= rows.shape[0]:
         raise GsgsError(f"burn_in {burn} is not below the chain length {rows.shape[0]}")
     report = {"chain": str(chain_path), "iterations": int(rows.shape[0]),

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .conjugate import PrecisionModel, densify_precision
 from .diagnostics import cholesky_oracle_sample
@@ -353,6 +352,21 @@ class AliasPrecision:
         """Gradient of the quadratic potential: Q u - b."""
         return self.apply(u) - self.b
 
+    def solve(self, r):
+        """Q^{-1} r, exactly: Q is block-diagonal here, one f^2 x f^2 block
+        per low-resolution frequency. Column a of every block is ``apply`` at
+        the unit vector of alias a, and one batched solve inverts them all."""
+        n_alias, n_freq = self.spectra.coord_blur.shape
+        blocks = np.empty((n_freq, n_alias, n_alias), dtype=complex)
+        unit = np.zeros((n_alias, n_freq), dtype=complex)
+        for a in range(n_alias):
+            unit[a] = 1.0
+            column = self.apply(unit.reshape(-1).view(float)).view(complex)
+            blocks[:, :, a] = column.reshape(n_alias, n_freq).T
+            unit[a] = 0.0
+        rhs = r.view(complex).reshape(n_alias, n_freq).T
+        return np.linalg.solve(blocks, rhs[..., None])[..., 0].T.reshape(-1).view(float)
+
     def draw_noise(self, rng):
         """One draw from N(0, Q) in alias coordinates, 2 FFTs.
 
@@ -566,12 +580,11 @@ def run_superres(model, cfg, literal_shapes=False, x0=None):
 
 @dataclass
 class ReferenceResult:
-    """Hyperparameter chains from the dense exact-Gibbs reference sampler."""
+    """Hyperparameter chains from the exact-Gibbs reference sampler."""
 
     gamma_n_chain: np.ndarray
     gamma_x_chain: np.ndarray
     burn_in: int
-    mean_x: np.ndarray
 
     def _post(self, chain):
         return chain[self.burn_in :]
@@ -593,68 +606,43 @@ class ReferenceResult:
         return float(self._post(self.gamma_x_chain).std())
 
 
-def exact_gibbs_reference(model, n_iters, burn_in, seed, method,
-                          literal_shapes=False):
+def exact_gibbs_reference(model, n_iters, burn_in, seed):
     """Reference sampler that redraws the full image exactly each iteration.
 
     Uses the same Gamma conditionals as the main chain but replaces the
-    directional excursion with an exact draw from N(m, Q^{-1}). ``method``
-    picks one of two dense strategies:
+    directional excursion with an exact draw from N(m, Q^{-1}), made the way
+    the model's precision allows:
 
-    - "cholesky": refactor Q each iteration; simple, for small models.
-    - "eigen": simultaneously diagonalize the two Gram blocks of Q once
-      (a generalized symmetric eigendecomposition), after which every
-      iteration is two dense matrix-vector products. This makes a
-      few-thousand-pixel reference run affordable.
+    - spectral models (``model.spectra`` set): x = Q^{-1} (b + eps) with
+      eps ~ N(0, Q), in alias coordinates, where Q is block-diagonal and the
+      solve is exact (`AliasPrecision.solve`);
+    - any other model: refactor the dense Q by Cholesky each iteration.
     """
-    if burn_in >= n_iters:
-        raise ValueError("burn_in must be below n_iters")
+    if not 0 <= burn_in < n_iters:
+        raise ValueError(f"burn_in must satisfy 0 <= burn_in < n_iters, got "
+                         f"{burn_in} / {n_iters}")
     n = model.n_pixels
-    if method not in ("cholesky", "eigen"):
-        raise ValueError(f"unknown reference method {method!r}")
-
-    cap = max(n * n, 10_000_000)
-    gram_fwd = densify_precision(
-        PrecisionModel(n, [(model.forward, 1.0)], np.zeros(n)), max_entries=cap
-    )
-    gram_pen = densify_precision(
-        PrecisionModel(n, [(model.penalty, 1.0)], np.zeros(n)), max_entries=cap
-    )
-    fwd_t_data = model._forward_t_data
-
-    if method == "eigen":
-        # gram_fwd v = w (gram_fwd + gram_pen) v: the shared eigenbasis V has
-        # V^T gram_fwd V = diag(w) and V^T gram_pen V = diag(1 - w), so
-        # Q(gamma) is diagonal in V-coordinates for every gamma.
-        total = gram_fwd + gram_pen
-        w, basis = scipy.linalg.eigh(gram_fwd, total)
-        w = np.clip(w, 0.0, 1.0)
-        proj_data = basis.T @ fwd_t_data
+    if model.spectra is None:
+        gram_fwd = densify_precision(PrecisionModel(n, [(model.forward, 1.0)], np.zeros(n)))
+        gram_pen = densify_precision(PrecisionModel(n, [(model.penalty, 1.0)], np.zeros(n)))
+        fwd_t_data = model._forward_t_data
 
     rng = RngState(seed)
     x = model.backprojection()
     gamma_n_chain = np.empty(n_iters)
     gamma_x_chain = np.empty(n_iters)
-    n_kept = 0
-    mean_x = np.zeros(n)
     for t in range(n_iters):
-        hp = sample_hyperparams(model, x, rng, literal_shapes=literal_shapes)
+        hp = sample_hyperparams(model, x, rng)
         gamma_n_chain[t] = hp.gamma_n
         gamma_x_chain[t] = hp.gamma_x
-        if method == "eigen":
-            diag_q = hp.gamma_n * w + hp.gamma_x * (1.0 - w)
-            coords = (hp.gamma_n * proj_data) / diag_q
-            coords += standard_normal_vector(rng, n) / np.sqrt(diag_q)
-            x = basis @ coords
-        else:
+        if model.spectra is None:
             q_dense = hp.gamma_n * gram_fwd + hp.gamma_x * gram_pen
             x = cholesky_oracle_sample(q_dense, hp.gamma_n * fwd_t_data, rng)
-        if t >= burn_in:
-            n_kept += 1
-            mean_x += (x - mean_x) / n_kept
+        else:
+            q = build_precision(model, hp).coordinates
+            x = model.spectra.decode(q.solve(q.b + q.draw_noise(rng)))
     return ReferenceResult(
         gamma_n_chain=gamma_n_chain,
         gamma_x_chain=gamma_x_chain,
         burn_in=burn_in,
-        mean_x=mean_x,
     )

@@ -368,8 +368,7 @@ def suite_toy_hier(seed=0):
     cfg = GsgsConfig(n_dirs=4, max_iters=10**5, burn_in=10**4,
                      perturbation="factored_q", seed=seed + 22)
     run = run_superres(model, cfg)
-    ref = exact_gibbs_reference(model, 40_000, 4_000, seed=seed + 23,
-                                method="cholesky")
+    ref = exact_gibbs_reference(model, 40_000, 4_000, seed=seed + 23)
 
     def gate(name, got, want, tol):
         rel = abs(got / want - 1.0)
@@ -413,7 +412,7 @@ def suite_superres_desk(seed=0):
     cfg10 = GsgsConfig(n_dirs=10, max_iters=2000, burn_in=500,
                        perturbation="factored_q", seed=seed + 32)
     run10 = run_superres(model, cfg10)
-    ref = exact_gibbs_reference(model, 300, 60, seed=seed + 33, method="eigen")
+    ref = exact_gibbs_reference(model, 300, 60, seed=seed + 33)
     t3_seconds = time.perf_counter() - start
 
     gamma_n = run10.gamma_n_mean

@@ -261,8 +261,27 @@ def test_diagnose_reads_chain(tmp_path):
     assert report["columns"]["gamma_n"]["autocorrelation"][0] == 1.0
 
 
+def test_multi_chain_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GSGS_THREADS", "two")
+    sim, out = tmp_path / "sim", tmp_path / "multi"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    assert run_cli("run", "--data-dir", sim, "-o", out, "--chains", "2",
+                   "--seed", "5", *SMALL) == 1
+    err = capsys.readouterr().err
+    assert "GSGS_THREADS" in err and "'two'" in err
+
+
 def test_diagnose_missing_chain_errors(tmp_path):
     assert run_cli("diagnose", "--chain", tmp_path / "absent.csv") == 1
+
+
+@pytest.mark.parametrize("max_lag", ["0", "50"])
+def test_diagnose_rejects_negative_burn_in(tmp_path, capsys, max_lag):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("t,gamma_n\n" + "".join(f"{t},{1.0 + t % 3}\n" for t in range(20)))
+    assert run_cli("diagnose", "--chain", chain, "--burn-in", "-3",
+                   "--max-lag", max_lag) == 1
+    assert "burn_in -3" in capsys.readouterr().err
 
 
 def test_validate_unknown_suite_usage_error():

@@ -147,6 +147,8 @@ def test_alias_coordinates_are_orthogonal(shape, factor, frames):
                                atol=1e-12 * np.linalg.norm(qx))
     np.testing.assert_allclose(coords.b, precision.encode(precision.b),
                                atol=1e-12 * np.linalg.norm(precision.b))
+    np.testing.assert_allclose(precision.decode(coords.solve(precision.encode(qx))), x,
+                               atol=1e-12 * np.linalg.norm(x))
 
 
 def test_gradient_at_zero_is_negative_backprojection():
@@ -348,54 +350,53 @@ def test_warns_when_perturbation_disabled(caplog):
     assert any("convergence is not guaranteed" in m for m in caplog.messages)
 
 
-def test_eigenbasis_draw_is_exact():
-    # The simultaneous-diagonalization draw used by the large-scale reference
-    # must produce the same Gaussian as the Cholesky oracle. Frozen
-    # hyperparameters make this a sharp moment test against the dense target.
-    import scipy.linalg
-
+def test_block_draw_is_exact():
+    # The reference's draw on spectral models, x = Q^{-1} (b + eps) with
+    # eps ~ N(0, Q) solved block by block in alias coordinates, must produce
+    # the same Gaussian as the Cholesky oracle. Frozen hyperparameters make
+    # this a sharp moment test against the dense target.
     from gsgs import cholesky_oracle_sample, exact_summary, moment_compare, summarize
 
-    model = small_model(shape=(8, 8), seed=26, alpha_n=0.1, beta_n=0.1,
-                        alpha_x=0.1, beta_x=0.1)
     hp = Hyperparams(gamma_n=1.2, gamma_x=0.8)
-    precision = build_precision(model, hp)
-    dense_q = densify_precision(precision, max_entries=10**6)
-    target = exact_summary(np.linalg.solve(dense_q, precision.b), np.linalg.inv(dense_q))
+    for shape, factor, frames in (((8, 8), 2, ((0, 0), (1, 1))),
+                                  ((6, 9), 3, ((0, 0), (2, 1)))):
+        model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(26))
+        precision = build_precision(model, hp)
+        dense_q = densify_precision(precision)
+        target = exact_summary(np.linalg.solve(dense_q, precision.b), np.linalg.inv(dense_q))
 
-    gram_fwd = densify_precision(
-        build_precision(model, Hyperparams(1.0, 0.0)), max_entries=10**6
-    )
-    gram_pen = dense_q - hp.gamma_n * gram_fwd  # gamma_x * D^T D
-    total = gram_fwd + gram_pen / hp.gamma_x
-    w, basis = scipy.linalg.eigh(gram_fwd, total)
-    w = np.clip(w, 0.0, 1.0)
-    proj = basis.T @ (hp.gamma_n * model.backprojection())
-    rng = RngState(27)
-    n = model.n_pixels
-    draws = np.empty((3 * 10**4, n))
-    diag_q = hp.gamma_n * w + hp.gamma_x * (1.0 - w)
-    for i in range(draws.shape[0]):
-        z = rng.generator.standard_normal(n)
-        draws[i] = basis @ (proj / diag_q + z / np.sqrt(diag_q))
-    assert moment_compare(summarize(draws), target, 4.5, 0.05).passed
+        q = precision.coordinates
+        rng = RngState(27)
+        draws = np.array([precision.decode(q.solve(q.b + q.draw_noise(rng)))
+                          for _ in range(3 * 10**4)])
+        assert moment_compare(summarize(draws), target, 4.5, 0.05).passed
 
-    chol_draws = cholesky_oracle_sample(dense_q, precision.b, RngState(28), size=3 * 10**4)
-    assert moment_compare(summarize(chol_draws), target, 4.5, 0.05).passed
+        chol_draws = cholesky_oracle_sample(dense_q, precision.b, RngState(28),
+                                            size=3 * 10**4)
+        assert moment_compare(summarize(chol_draws), target, 4.5, 0.05).passed
 
 
-def test_reference_methods_agree_on_hyperparameters():
+def test_spectral_reference_agrees_with_cholesky():
     # A well-determined geometry (as many observations as pixels) keeps the
-    # precision posteriors narrow, so two independent exact chains through
-    # the two dense strategies must land on the same estimates.
-    model = small_model(shape=(16, 16), frames=((0, 0), (1, 0), (0, 1), (1, 1)),
-                        seed=26, dense=True,
-                        alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
-    chol = exact_gibbs_reference(model, 4000, 500, seed=27, method="cholesky")
-    eig = exact_gibbs_reference(model, 4000, 500, seed=28, method="eigen")
-    for a, b in ((chol.gamma_n_mean, eig.gamma_n_mean),
-                 (chol.gamma_x_mean, eig.gamma_x_mean)):
+    # precision posteriors narrow, so two independent exact chains, one
+    # through the block solve and one through Cholesky on the same matrices
+    # stored dense, must land on the same estimates.
+    geometry = dict(shape=(16, 16), frames=((0, 0), (1, 0), (0, 1), (1, 1)), seed=26,
+                    alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
+    spectral = small_model(**geometry)
+    dense = small_model(dense=True, **geometry)
+    assert spectral.spectra is not None and dense.spectra is None
+    chol = exact_gibbs_reference(dense, 4000, 500, seed=27)
+    spec = exact_gibbs_reference(spectral, 4000, 500, seed=28)
+    for a, b in ((spec.gamma_n_mean, chol.gamma_n_mean),
+                 (spec.gamma_x_mean, chol.gamma_x_mean)):
         assert abs(a - b) / abs(b) < 0.15
+
+
+@pytest.mark.parametrize("burn_in", [-3, 10])
+def test_reference_rejects_burn_in_outside_chain(burn_in):
+    with pytest.raises(ValueError, match="burn_in"):
+        exact_gibbs_reference(small_model(seed=26), 10, burn_in, seed=27)
 
 
 def test_theta_model_scalars():
