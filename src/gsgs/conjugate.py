@@ -13,11 +13,13 @@ form, runs in the pixels.
 
 `build_conjugate_set` grows, in whatever coordinates its precision works in,
 a set of unit directions that are mutually conjugate with respect to Q (a
-three-term Krylov recurrence plus one re-conjugation pass), and
-`sample_along` draws the exact Gaussian coefficients of the target
-N(m, Q^{-1}) along those directions. With a full set (as many directions as
-dimensions) one call produces an exact draw from the target; with fewer it is
-an exact draw from the conditional restricted to the spanned affine subspace.
+three-term Krylov recurrence, re-conjugated per step against the newest
+directions and, once per block of ``BLOCK`` directions, by matrix-matrix
+products against all older ones), and `sample_along` draws the exact
+Gaussian coefficients of the target N(m, Q^{-1}) along those directions. With
+a full set (as many directions as dimensions) one call produces an exact draw
+from the target; with fewer it is an exact draw from the conditional
+restricted to the spanned affine subspace.
 """
 
 from math import sqrt
@@ -34,6 +36,10 @@ from .rng import standard_normal_vector
 
 CURVATURE_DROP = 1e-12
 BREAKDOWN_TOL = 1e-12
+# Directions per block pass of the re-conjugation, and the largest defect
+# against the older directions that one block pass is trusted to remove.
+BLOCK = 32
+BLOCK_TOL = 1e-8
 
 
 class PrecisionModel:
@@ -172,11 +178,19 @@ def build_conjugate_set(precision, d1, n_dirs):
     Each raw candidate is Q times the most recent direction, so the set spans
     the Krylov space K_k(Q, d1). In exact arithmetic Q d_{k-1} is conjugate
     to all kept directions but d_{k-1} and d_{k-2}; the three-term step
-    (CG/Lanczos) removes those two Q-projections. One classical Gram-Schmidt
-    pass against *all* kept directions in the Q inner product then removes
-    what rounding leaks onto the older ones. That pass, O(n_dirs^2 * dim),
-    is over nine tenths of the build at n_dirs = 150 on a 64x64 image in
-    alias coordinates, where a Q-apply takes no FFT.
+    (CG/Lanczos) removes those two Q-projections. Rounding leaks the
+    candidate onto the older directions, and a classical Gram-Schmidt pass in
+    the Q inner product removes that, in two tiers. Each step passes over the
+    directions added since the last block pass, at most ``BLOCK`` of them.
+    When the block fills, and once more before returning, one block pass
+    conjugates the block against all older directions with matrix-matrix
+    products, updating the images Q d by the same combination, and
+    re-normalizes the block. The O(n_dirs^2 * dim) re-conjugation thus reads
+    the older directions once per block instead of once per direction. Up to
+    ``BLOCK`` directions this is one full pass per step. If a block direction
+    has leaked more than ``BLOCK_TOL`` onto the older ones (near-full sets),
+    one pass cannot be trusted to clean it: it and the rest of the block are
+    dropped, and the build finishes with one full pass per step.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated
@@ -202,11 +216,13 @@ def build_conjugate_set(precision, d1, n_dirs):
     if seed_norm == 0.0:
         raise DegenerateDirectionError("seed direction is zero")
 
-    # One block for directions and their images: freed together, it leaves
-    # the C allocator one free region, which it keeps for the next call. Two
-    # separate blocks together crossed glibc's heap-trim threshold, so every
-    # call returned the pages to the OS and faulted them in again.
-    dirs, qdirs = np.empty((2, n_dirs, n))
+    # One block for directions, their images and the block pass's scratch
+    # rows: freed together, it leaves the C allocator one free region, which
+    # it keeps for the next call. Separate blocks together crossed glibc's
+    # heap-trim threshold, so every call returned the pages to the OS and
+    # faulted them in again.
+    store = np.empty((2 * n_dirs + (BLOCK if n_dirs > BLOCK else 0), n))
+    dirs, qdirs, scratch = store[:n_dirs], store[n_dirs:2 * n_dirs], store[2 * n_dirs:]
     curv = np.empty(n_dirs)
 
     v = d1 / seed_norm
@@ -217,26 +233,67 @@ def build_conjugate_set(precision, d1, n_dirs):
     dirs[0], qdirs[0], curv[0] = v, q, c
     drop = CURVATURE_DROP * c
 
-    k = 1
-    while k < n_dirs:
+    # Rows start:k form the open block; rows :start are conjugated already.
+    k, start, stop = 1, 0, min(BLOCK, n_dirs)
+    while True:
+        k, stopped = _extend(precision, dirs, qdirs, curv, k, stop, start, drop)
+        if start:
+            kept = _conjugate_block(dirs, qdirs, curv, start, k, scratch)
+            if kept < k:
+                # Leaked too far for one block pass: finish one row at a time.
+                k, start, stop = kept, 0, n_dirs
+                continue
+        if stopped or k == n_dirs:
+            break
+        start, stop = k, min(k + BLOCK, n_dirs)
+
+    return ConjugateSet(dirs[:k], qdirs[:k], curv[:k])
+
+
+def _extend(precision, dirs, qdirs, curv, k, stop, start, drop):
+    """Add rows k..stop-1 by the three-term step plus a pass over rows start:k.
+
+    Returns the new row count and whether the build stopped early.
+    """
+    while k < stop:
         cand = qdirs[k - 1].copy()
         pre_norm = sqrt(cand @ cand)
-        # The three-term step on the two latest directions, then one full pass.
-        for lo in (max(k - 2, 0), 0):
+        for lo in (max(k - 2, 0), start):
             coef = (qdirs[lo:k] @ cand) / curv[lo:k]
             cand -= coef @ dirs[lo:k]
         norm = sqrt(cand @ cand)
         if norm <= BREAKDOWN_TOL * pre_norm:
-            break
+            return k, True
         v = cand / norm
         q = precision.apply(v)
         c = v @ q
         if c <= drop:
-            break
+            return k, True
         dirs[k], qdirs[k], curv[k] = v, q, c
         k += 1
+    return k, False
 
-    return ConjugateSet(dirs[:k], qdirs[:k], curv[:k])
+
+def _conjugate_block(dirs, qdirs, curv, start, stop, scratch):
+    """Conjugate rows start:stop against rows :start in one pass.
+
+    A row whose defect against the older rows, max_j |d_i^T Q d_j| /
+    sqrt(c_i c_j), exceeds ``BLOCK_TOL`` is dropped with every later row.
+    Returns the row count kept.
+    """
+    old = slice(0, start)
+    coef = (dirs[start:stop] @ qdirs[old].T) / curv[old]
+    defect = (np.abs(coef) * np.sqrt(curv[old])).max(axis=1) / np.sqrt(curv[start:stop])
+    leaked = np.flatnonzero(defect > BLOCK_TOL)
+    stop = start + leaked[0] if leaked.size else stop
+    blk, coef, update = slice(start, stop), coef[:stop - start], scratch[:stop - start]
+    for rows in (dirs, qdirs):
+        rows[blk] -= np.matmul(coef, rows[old], out=update)
+    norms = np.sqrt(np.einsum("ij,ij->i", dirs[blk], dirs[blk]))[:, None]
+    dirs[blk] /= norms
+    qdirs[blk] /= norms
+    curv[blk] = np.einsum("ij,ij->i", dirs[blk], qdirs[blk])
+    return stop
 
 
 def sample_along(precision, cset, x0, rng, gradient=None):

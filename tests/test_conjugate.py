@@ -18,6 +18,9 @@ from gsgs import (
     summarize,
 )
 from gsgs.conjugate import (
+    BLOCK,
+    BREAKDOWN_TOL,
+    CURVATURE_DROP,
     PrecisionModel,
     build_conjugate_set,
     densify_precision,
@@ -92,8 +95,9 @@ def test_full_set_conjugacy_on_random_spd():
 @pytest.mark.parametrize("gamma_x", [1.0, 1e4])
 def test_desk_scale_k150_stays_conjugate(gamma_x):
     # The 64x64 desk scene at k=150, also at the scale gamma_x runs away to:
-    # the three-term step plus a single full pass must keep the whole set
-    # conjugate, with no early stop.
+    # the three-term step, the per-step pass over the open block and one
+    # block pass per 32 directions must keep the whole set conjugate, with
+    # no early stop.
     hp = Hyperparams(gamma_n=1.0, gamma_x=gamma_x)
     precision = build_precision(build_desk_model(31), hp)
     assert isinstance(precision, SpectralPrecision)
@@ -121,6 +125,97 @@ def test_near_full_dimension_set_stays_conjugate(gamma_x):
     d1 = np.random.default_rng(42).standard_normal(precision.dim)
     cset = build_conjugate_set(precision, d1, 256)
     assert len(cset) >= 240
+    assert cset.conjugacy_defect() <= 1e-8
+
+
+def full_pass_reference(precision, d1, n_dirs):
+    """The build with one full re-conjugation pass per step and no blocks.
+
+    Returns (directions, q_directions, curvatures).
+    """
+    n = precision.dim
+    dirs, qdirs = np.empty((2, n_dirs, n))
+    curv = np.empty(n_dirs)
+    v = d1 / np.sqrt(d1 @ d1)
+    dirs[0], qdirs[0] = v, precision.apply(v)
+    curv[0] = v @ qdirs[0]
+    k = 1
+    while k < n_dirs:
+        cand = qdirs[k - 1].copy()
+        pre_norm = np.sqrt(cand @ cand)
+        for lo in (max(k - 2, 0), 0):
+            coef = (qdirs[lo:k] @ cand) / curv[lo:k]
+            cand -= coef @ dirs[lo:k]
+        norm = np.sqrt(cand @ cand)
+        if norm <= BREAKDOWN_TOL * pre_norm:
+            break
+        v = cand / norm
+        q = precision.apply(v)
+        c = v @ q
+        if c <= CURVATURE_DROP * curv[0]:
+            break
+        dirs[k], qdirs[k], curv[k] = v, q, c
+        k += 1
+    return dirs[:k], qdirs[:k], curv[:k]
+
+
+def desk_coordinates(gamma_x):
+    """The desk scene's precision in the alias coordinates of its x-step."""
+    hp = Hyperparams(gamma_n=1.0, gamma_x=gamma_x)
+    return build_precision(build_desk_model(31), hp).coordinates
+
+
+@pytest.mark.parametrize("model, n_dirs", [("spd", 12), ("spd", 32), ("desk", 10)])
+def test_single_block_build_matches_full_pass_reference(model, n_dirs):
+    # Up to one block of directions the build is the per-step full pass,
+    # bit for bit, so chains with n_dirs <= BLOCK keep their exact draws.
+    assert n_dirs <= BLOCK
+    if model == "desk":
+        precision = desk_coordinates(1.0)
+    else:
+        precision, _, _ = random_spd_precision(40, 45)
+    d1 = np.random.default_rng(46).standard_normal(precision.dim)
+    cset = build_conjugate_set(precision, d1, n_dirs)
+    dirs, qdirs, curv = full_pass_reference(precision, d1, n_dirs)
+    assert len(cset) == n_dirs
+    assert np.array_equal(cset.directions, dirs)
+    assert np.array_equal(cset.q_directions, qdirs)
+    assert np.array_equal(cset.curvatures, curv)
+
+
+@pytest.mark.parametrize("gamma_x", [1.0, 1e4])
+def test_multi_block_build_keeps_span_and_images(gamma_x):
+    precision = desk_coordinates(gamma_x)
+    d1 = np.random.default_rng(47).standard_normal(precision.dim)
+    csets = {n_dirs: build_conjugate_set(precision, d1, n_dirs) for n_dirs in (80, 150)}
+    for n_dirs, cset in csets.items():
+        assert len(cset) == n_dirs
+        assert cset.conjugacy_defect() <= 1e-8
+        # The block pass updates the stored images by the same combination
+        # as the directions; they must still be Q times the directions.
+        fresh = np.array([precision.apply(d) for d in cset.directions])
+        err = np.linalg.norm(cset.q_directions - fresh, axis=1)
+        assert (err / np.linalg.norm(fresh, axis=1)).max() <= 1e-13
+    # At k=80 the per-step full pass spans the same space. (At k=150 the
+    # span itself moves with rounding: a 1e-15 change of the seed turns it.)
+    ref_dirs, _, _ = full_pass_reference(precision, d1, 80)
+    basis, _ = np.linalg.qr(csets[80].directions.T)
+    residual = ref_dirs.T - basis @ (basis.T @ ref_dirs.T)
+    assert np.linalg.norm(residual, axis=0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("m", [36, 50, 70])
+def test_krylov_space_exhausted_after_first_block(m):
+    # Q = diag(lambda_1, lambda_1, ..., lambda_m, lambda_m) seeded on one
+    # coordinate of each pair: K(Q, d1) has dimension m, so the build stops
+    # there, in a later block, and the final block pass runs on that stop.
+    eigs = np.repeat(np.linspace(1.0, 4.0, m), 2)
+    model = PrecisionModel(2 * m, [(DenseOperator(np.diag(np.sqrt(eigs))), 1.0)],
+                           np.zeros(2 * m))
+    d1 = np.zeros(2 * m)
+    d1[::2] = np.random.default_rng(48).uniform(0.5, 1.5, m)
+    cset = build_conjugate_set(model, d1, 2 * m)
+    assert len(cset) == m
     assert cset.conjugacy_defect() <= 1e-8
 
 
