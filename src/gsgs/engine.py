@@ -32,13 +32,20 @@ class ThetaModel:
     """Hooks the engine needs from a concrete model.
 
     Subclasses supply the theta conditional and the precision of x | theta.
+    ``encode`` maps x to the coordinates the x-step runs in, which must be
+    those of every precision ``precision_at`` returns (the pixels by
+    default). The engine encodes x once per iteration, before the theta
+    draw, and ``sample_theta`` gets both x and its coordinates u.
     ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of
     ``precision``, the ``coordinates`` of the precision the engine built for
     theta, so the draw is in the coordinates the x-step runs in; that draw is
     what the guaranteed-convergence mode expects.
     """
 
-    def sample_theta(self, x, rng):
+    def encode(self, x):
+        return x
+
+    def sample_theta(self, x, rng, u):
         raise NotImplementedError
 
     def precision_at(self, theta):
@@ -61,7 +68,10 @@ class FixedGaussianModel(ThetaModel):
     def __init__(self, precision):
         self.precision = precision
 
-    def sample_theta(self, x, rng):
+    def encode(self, x):
+        return self.precision.encode(x)
+
+    def sample_theta(self, x, rng, u):
         return None
 
     def precision_at(self, theta):
@@ -229,21 +239,23 @@ def _draw_perturbation(model, theta, precision, state, cfg):
 def gsgs_step(model, state, cfg):
     """Advance the chain by one iteration, in place, and return it.
 
-    Order of operations: theta draw, gradient at the current x, optional
-    gradient perturbation, conjugate set seeded by the perturbed gradient,
-    exact coefficient draws, x update. Everything between the theta draw and
-    the x update runs in the precision's own coordinates (see
-    `gsgs.conjugate`): x is encoded once and the new point decoded once, and
-    the direction count is capped by the pixel count. A zero seed direction
-    (gradient and perturbation both zero, i.e. x sits exactly at the
-    conditional mean) skips the x update for this iteration rather than
-    failing: it has probability zero under continuous theta draws.
+    Order of operations: x encoded into the coordinates of the model's
+    precisions (``model.encode``, see `gsgs.conjugate`), theta draw from x
+    and those coordinates, gradient at the current x, optional gradient
+    perturbation, conjugate set seeded by the perturbed gradient, exact
+    coefficient draws, x update. Everything from the gradient to the x
+    update runs in those coordinates: x is encoded once and the new point
+    decoded once, and the direction count is capped by the pixel count. A
+    zero seed direction (gradient and perturbation both zero, i.e. x sits
+    exactly at the conditional mean) skips the x update for this iteration
+    rather than failing: it has probability zero under continuous theta
+    draws.
     """
     rng = state.rng
-    theta = model.sample_theta(state.x, rng)
+    u = model.encode(state.x)
+    theta = model.sample_theta(state.x, rng, u)
     precision = model.precision_at(theta)
     coords = precision.coordinates
-    u = precision.encode(state.x)
     gradient = coords.gradient(u)
     eps = _draw_perturbation(model, theta, precision, state, cfg)
     d1 = gradient if eps is None else gradient + eps

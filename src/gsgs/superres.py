@@ -7,6 +7,10 @@ conjugate Gamma conditionals (Jeffreys in the flat-prior limit), so the whole
 posterior is explored by the gradient-scan Gibbs engine with the N(0, Q)
 gradient perturbation.
 
+Q = gamma_n F^T F + gamma_x P^T P is built from the model's two Gram
+operators, forward F and penalty P, and the theta draw reads the same two
+quadratic forms, |data - F x|^2 and |P x|^2.
+
 When blur and penalty are circulant on the grid the decimation selects from,
 the precision of x | theta is block-diagonal in Fourier space: the per-pixel
 frame count has the period of the decimation factor f, so it couples only
@@ -14,10 +18,13 @@ the f^2 frequencies that alias onto one low-resolution frequency.
 `build_precision` then returns a `SpectralPrecision`, and the engine's x-step
 runs in its alias coordinates: encoding x and decoding the new point cost one
 FFT each, a Q-apply there (`AliasPrecision`) costs none and an N(0, Q) draw
-costs 2. Its pixel-space Q-apply costs 2 FFTs and its pixel-space N(0, Q)
-draw 3. Any other operators get the factored `PrecisionModel`, whose
-coordinates are the pixels; dense blur and decimation are multiplied into one
-forward matrix.
+costs 2, in one batched call. The theta draw reads both norms off the same
+encode (`SuperResModel.theta_norms`), so a chain iteration takes 4 FFTs. Its
+pixel-space Q-apply costs 2 FFTs and its pixel-space N(0, Q) draw 3. When
+forward and penalty are matrices (dense blur and decimation are multiplied
+into one forward matrix), the model keeps F^T F and P^T P and `GramPrecision`
+applies Q as one matrix. Any other operators get the factored
+`PrecisionModel`; both of these run in the pixels.
 """
 
 import functools
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import PrecisionModel, densify_precision
+from .conjugate import PrecisionModel
 from .diagnostics import cholesky_oracle_sample
 from .engine import ChainRecord, ThetaModel, run_chain
 from .errors import DegenerateScaleError, DimensionError
@@ -36,6 +43,7 @@ from .operators import (
     ComposedOperator,
     DecimationOperator,
     DenseOperator,
+    densify,
     make_circulant,
 )
 from .rng import RngState, gamma_draw, standard_normal_vector
@@ -43,6 +51,10 @@ from .rng import RngState, gamma_draw, standard_normal_vector
 logger = logging.getLogger(__name__)
 
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
+# Below this fraction of the sum of its terms' magnitudes, the residual norm
+# expanded in alias coordinates has cancelled too far, and it is taken in
+# pixels instead.
+RESIDUAL_CANCEL_TOL = 1e-6
 
 
 @dataclass
@@ -113,6 +125,10 @@ class SuperResModel:
             self.forward = DenseOperator(decimation.matrix @ blur.matrix)
         else:
             self.forward = ComposedOperator([decimation, blur])
+        # F^T F and P^T P when both are matrices: Q is then one matrix too.
+        self.grams = None
+        if isinstance(self.forward, DenseOperator) and isinstance(penalty, DenseOperator):
+            self.grams = tuple(m.T @ m for m in (self.forward.matrix, penalty.matrix))
         self.n_pixels = n
         self.n_data = decimation.out_dim
         # Penalty rank: periodic Laplacian annihilates exactly the constants.
@@ -128,10 +144,47 @@ class SuperResModel:
             half *= blur.half_spectrum_conj
             self._forward_t_data = np.fft.irfft2(half, s=(rows, cols)).ravel()
             self._forward_t_data_coords = self.spectra.to_coords(half)
+            self._data_ss = float(data @ data)
 
     def backprojection(self):
         """forward^T applied to the data; the default chain start."""
         return self._forward_t_data.copy()
+
+    def encode(self, x):
+        """x in the coordinates the x-step runs in: its alias coordinates
+        (one FFT) when the model has ``spectra``, else x itself."""
+        return x if self.spectra is None else self.spectra.encode(x)
+
+    def pixel_norms(self, x):
+        """(|data - forward x|^2, |penalty x|^2), taken on the image x."""
+        residual = self.data - self.forward.apply(x)
+        rough = self.penalty.apply(x)
+        return float(residual @ residual), float(rough @ rough)
+
+    def theta_norms(self, u, x=None):
+        """`pixel_norms` of the image x whose coordinates are u = encode(x).
+
+        With ``spectra`` both are quadratic forms in u, read off with no FFT:
+        |penalty x|^2 = sum |P|^2 |U|^2 and |data - forward x|^2 =
+        |data|^2 - 2 u.(forward^T data) + sum (H U)^H K (H U). The expanded
+        residual cancels as forward x approaches the data; once it falls
+        below ``RESIDUAL_CANCEL_TOL`` of the sum of its terms' magnitudes,
+        both norms are taken on x in pixels instead, x decoded from u unless
+        it is passed.
+        """
+        spectra = self.spectra
+        if spectra is None:
+            return self.pixel_norms(u)
+        classes = u.view(complex).reshape(spectra.coord_blur.shape)
+        rough_ss = float(np.vdot(spectra.coord_penalty_power,
+                                 classes.real**2 + classes.imag**2))
+        blurred = spectra.coord_blur * classes
+        fit_ss = float(np.vdot(blurred, spectra.coupling @ blurred).real)
+        cross = 2.0 * float(u @ self._forward_t_data_coords)
+        noise_ss = self._data_ss - cross + fit_ss
+        if noise_ss >= RESIDUAL_CANCEL_TOL * (self._data_ss + abs(cross) + fit_ss):
+            return noise_ss, rough_ss
+        return self.pixel_norms(spectra.decode(u) if x is None else x)
 
 
 @dataclass(frozen=True)
@@ -286,9 +339,9 @@ class SpectralPrecision:
     ``decode`` change to and from them (one FFT each), and ``coordinates`` is
     this precision there, an `AliasPrecision` whose Q-apply takes no FFT.
     ``apply`` is the pixel-space product decode(Q encode(x)), 2 FFTs, and
-    ``draw_noise`` a pixel-space N(0, Q) draw in 3. ``b`` = Q m is passed in,
-    as for `PrecisionModel`, whose interface this shares, together with b's
-    coordinates ``b_coords``.
+    ``draw_noise`` a pixel-space N(0, Q) draw in 3 (2 of them batched).
+    ``b`` = Q m is passed in, as for `PrecisionModel`, whose interface this
+    shares, together with b's coordinates ``b_coords``.
     """
 
     def __init__(self, spectra, gamma_n, gamma_x, b, b_coords):
@@ -368,25 +421,50 @@ class AliasPrecision:
         return np.linalg.solve(blocks, rhs[..., None])[..., 0].T.reshape(-1).view(float)
 
     def draw_noise(self, rng):
-        """One draw from N(0, Q) in alias coordinates, 2 FFTs.
+        """One draw from N(0, Q) in alias coordinates, 2 FFTs in one call.
 
         The coordinates of
         eps = irfft2(sqrt(gamma_n) conj(B) rfft2(D^T z_data)
                      + sqrt(gamma_x) conj(P) rfft2(z_pix)),
         read off the half-plane sum, with standard normal z's of the data and
         pixel dimensions, drawn in that order: eps has covariance
-        gamma_n B^T D^T D B + gamma_x P^T P = Q. A zero gamma_x draws no z_pix.
+        gamma_n B^T D^T D B + gamma_x P^T P = Q. D^T z_data and z_pix are
+        stacked and transformed by one rfft2 call, which gives the same bits
+        as two. A zero gamma_x draws no z_pix.
         """
         spectra = self.spectra
         shape = spectra.shape
         decimation = spectra.decimation
         z_data = standard_normal_vector(rng, decimation.out_dim)
-        out = np.fft.rfft2(decimation.adjoint_apply(z_data).reshape(shape))
+        planes = np.empty((2 if self.gamma_x > 0 else 1, *shape))
+        planes[0] = decimation.adjoint_apply(z_data).reshape(shape)
+        if self.gamma_x > 0:
+            planes[1] = standard_normal_vector(rng, shape[0] * shape[1]).reshape(shape)
+        halves = np.fft.rfft2(planes)
+        out = halves[0]
         out *= math.sqrt(self.gamma_n) * spectra.blur_conj
         if self.gamma_x > 0:
-            z_pix = standard_normal_vector(rng, shape[0] * shape[1]).reshape(shape)
-            out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * np.fft.rfft2(z_pix)
+            out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * halves[1]
         return spectra.to_coords(out)
+
+
+class GramPrecision(PrecisionModel):
+    """A factored precision that also holds Q as one matrix.
+
+    ``apply`` is one mat-vec with ``matrix`` = sum_k M_k^T w_k M_k, formed by
+    the caller, in place of two per factor. ``draw_noise`` stays the
+    factored draw, so the stream layout is that of `PrecisionModel`.
+    """
+
+    def __init__(self, dim, factors, b, matrix):
+        super().__init__(dim, factors, b)
+        self.matrix = matrix
+
+    def apply(self, x):
+        """Q x."""
+        if x.shape != (self.dim,):
+            raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
+        return self.matrix @ x
 
 
 def phantom(shape):
@@ -460,8 +538,9 @@ def build_precision(model, hp):
     Q = gamma_n * forward^T forward + gamma_x * penalty^T penalty, with
     b = Q m = gamma_n * forward^T data. A zero gamma_x drops the penalty
     term entirely. The result is a `SpectralPrecision` when the model has
-    ``spectra`` (circulant blur and penalty), else a factored
-    `PrecisionModel`.
+    ``spectra`` (circulant blur and penalty), a `GramPrecision` formed from
+    the model's ``grams`` when forward and penalty are matrices, else a
+    factored `PrecisionModel`.
     """
     b = hp.gamma_n * model._forward_t_data
     if model.spectra is not None:
@@ -470,11 +549,15 @@ def build_precision(model, hp):
     factors = [(model.forward, hp.gamma_n)]
     if hp.gamma_x > 0:
         factors.append((model.penalty, hp.gamma_x))
-    return PrecisionModel(model.n_pixels, factors, b)
+    if model.grams is None:
+        return PrecisionModel(model.n_pixels, factors, b)
+    gram_fwd, gram_pen = model.grams
+    matrix = hp.gamma_n * gram_fwd + hp.gamma_x * gram_pen
+    return GramPrecision(model.n_pixels, factors, b, matrix)
 
 
-def sample_hyperparams(model, x, rng, literal_shapes=False):
-    """Draw (gamma_n, gamma_x) from their Gamma conditionals at the current x.
+def sample_hyperparams(model, x, rng, literal_shapes=False, u=None):
+    """Draw (gamma_n, gamma_x) from their Gamma conditionals at the image x.
 
     Default shapes follow from counting degrees of freedom: the likelihood
     holds n_data residuals, and the rank of the Laplacian penalty is
@@ -486,12 +569,15 @@ def sample_hyperparams(model, x, rng, literal_shapes=False):
     ``literal_shapes=True`` swaps the shape exponents to the alternate
     convention (noise: n_pixels / 2, prior: (n_data - 1) / 2) so the two
     variants can be compared head to head.
+
+    The norms are read off x's coordinates u = model.encode(x)
+    (`SuperResModel.theta_norms`). A caller that has u passes it; x may then
+    be None.
     """
-    x = np.asarray(x, dtype=float)
-    residual = model.data - model.forward.apply(x)
-    noise_ss = float(residual @ residual)
-    rough = model.penalty.apply(x)
-    rough_ss = float(rough @ rough)
+    if u is None:
+        x = np.asarray(x, dtype=float)
+        u = model.encode(x)
+    noise_ss, rough_ss = model.theta_norms(u, x)
     if not (np.isfinite(noise_ss) and np.isfinite(rough_ss)):
         raise ValueError("non-finite residual norms; the chain state is invalid")
     if literal_shapes:
@@ -512,7 +598,8 @@ def sample_hyperparams(model, x, rng, literal_shapes=False):
 
 
 class SuperResThetaModel(ThetaModel):
-    """Engine hooks for the super-resolution posterior."""
+    """Engine hooks for the super-resolution posterior: the x-step runs in
+    the model's coordinates, and theta is drawn from them."""
 
     theta_fields = ("gamma_n", "gamma_x")
 
@@ -520,8 +607,11 @@ class SuperResThetaModel(ThetaModel):
         self.model = model
         self.literal_shapes = bool(literal_shapes)
 
-    def sample_theta(self, x, rng):
-        return sample_hyperparams(self.model, x, rng, literal_shapes=self.literal_shapes)
+    def encode(self, x):
+        return self.model.encode(x)
+
+    def sample_theta(self, x, rng, u):
+        return sample_hyperparams(self.model, x, rng, self.literal_shapes, u)
 
     def precision_at(self, theta):
         return build_precision(self.model, theta)
@@ -615,32 +705,32 @@ def exact_gibbs_reference(model, n_iters, burn_in, seed):
 
     - spectral models (``model.spectra`` set): x = Q^{-1} (b + eps) with
       eps ~ N(0, Q), in alias coordinates, where Q is block-diagonal and the
-      solve is exact (`AliasPrecision.solve`);
-    - any other model: refactor the dense Q by Cholesky each iteration.
+      solve is exact (`AliasPrecision.solve`). The chain stays in those
+      coordinates and draws theta from them; it never decodes x;
+    - any other model: Cholesky of the dense Q, formed from the model's
+      ``grams`` (or from densified operators), each iteration.
     """
     if not 0 <= burn_in < n_iters:
         raise ValueError(f"burn_in must satisfy 0 <= burn_in < n_iters, got "
                          f"{burn_in} / {n_iters}")
-    n = model.n_pixels
     if model.spectra is None:
-        gram_fwd = densify_precision(PrecisionModel(n, [(model.forward, 1.0)], np.zeros(n)))
-        gram_pen = densify_precision(PrecisionModel(n, [(model.penalty, 1.0)], np.zeros(n)))
-        fwd_t_data = model._forward_t_data
+        gram_fwd, gram_pen = model.grams or [
+            m.T @ m for m in (densify(op).matrix for op in (model.forward, model.penalty))]
 
     rng = RngState(seed)
-    x = model.backprojection()
+    u = model.encode(model.backprojection())
     gamma_n_chain = np.empty(n_iters)
     gamma_x_chain = np.empty(n_iters)
     for t in range(n_iters):
-        hp = sample_hyperparams(model, x, rng)
+        hp = sample_hyperparams(model, None, rng, u=u)
         gamma_n_chain[t] = hp.gamma_n
         gamma_x_chain[t] = hp.gamma_x
         if model.spectra is None:
             q_dense = hp.gamma_n * gram_fwd + hp.gamma_x * gram_pen
-            x = cholesky_oracle_sample(q_dense, hp.gamma_n * fwd_t_data, rng)
+            u = cholesky_oracle_sample(q_dense, hp.gamma_n * model._forward_t_data, rng)
         else:
             q = build_precision(model, hp).coordinates
-            x = model.spectra.decode(q.solve(q.b + q.draw_noise(rng)))
+            u = q.solve(q.b + q.draw_noise(rng))
     return ReferenceResult(
         gamma_n_chain=gamma_n_chain,
         gamma_x_chain=gamma_x_chain,

@@ -219,6 +219,21 @@ def test_krylov_space_exhausted_after_first_block(m):
     assert cset.conjugacy_defect() <= 1e-8
 
 
+def test_early_stop_runs_the_final_block_pass():
+    # At m=36 the build stops four rows into its second block. Those rows
+    # leak onto the first block at about 7e-14 and only the block pass run
+    # on the stop removes that; what one pass leaves is about 2e-16.
+    m = 36
+    eigs = np.repeat(np.linspace(1.0, 4.0, m), 2)
+    model = PrecisionModel(2 * m, [(DenseOperator(np.diag(np.sqrt(eigs))), 1.0)],
+                           np.zeros(2 * m))
+    d1 = np.zeros(2 * m)
+    d1[::2] = np.random.default_rng(48).uniform(0.5, 1.5, m)
+    cset = build_conjugate_set(model, d1, 2 * m)
+    assert BLOCK < len(cset) == m
+    assert cset.conjugacy_defect() <= 1e-14
+
+
 def test_directions_span_the_krylov_space():
     n, k = 40, 12
     model, _, _ = random_spd_precision(n, 43)

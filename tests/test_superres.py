@@ -12,6 +12,7 @@ from gsgs import (
     GsgsConfig,
     RngState,
     densify,
+    gamma_draw,
     gsgs_step,
     phantom,
     run_chain,
@@ -20,6 +21,7 @@ from gsgs import (
 from gsgs.conjugate import PrecisionModel, densify_precision
 from gsgs.operators import DecimationOperator, make_circulant
 from gsgs.superres import (
+    GramPrecision,
     Hyperparams,
     SuperResModel,
     SpectralPrecision,
@@ -149,6 +151,76 @@ def test_alias_coordinates_are_orthogonal(shape, factor, frames):
                                atol=1e-12 * np.linalg.norm(precision.b))
     np.testing.assert_allclose(precision.decode(coords.solve(precision.encode(qx))), x,
                                atol=1e-12 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("shape, factor, frames", ALIAS_GEOMETRIES)
+def test_theta_norms_in_coordinates_match_pixel_norms(shape, factor, frames, monkeypatch):
+    # Both theta norms read off the alias coordinates, at a random image and
+    # at an exact draw of x | theta under a large gamma_x, against the norms
+    # taken in pixels; neither point may need the cancellation fallback.
+    model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(40))
+    q = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=1e4)).coordinates
+    smooth = model.spectra.decode(q.solve(q.b + q.draw_noise(RngState(42))))
+    random = np.random.default_rng(43).standard_normal(model.n_pixels)
+    pixel_norms = model.pixel_norms
+
+    def no_fallback(x):
+        raise AssertionError("the coordinate norms fell back to pixels")
+
+    monkeypatch.setattr(model, "pixel_norms", no_fallback)
+    for x in (random, smooth):
+        want = pixel_norms(x)
+        got = model.theta_norms(model.encode(x))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_theta_norms_fall_back_where_the_residual_cancels():
+    # Noiseless desk data at the truth: the residual taken in pixels is
+    # exactly zero, while the expanded one in coordinates is rounding of
+    # either sign. The coordinate path must fall back to the pixel norms of
+    # the very x it was given, so it draws what the pixel norms give.
+    truth = phantom((64, 64))
+    offsets = ((0, 0), (1, 0), (0, 1))
+    x = truth.ravel()
+    flat = simulate_data(truth, 2, offsets, 5, math.inf, RngState(44))
+    assert flat.pixel_norms(x)[0] == 0.0
+    for sample in (lambda rng: sample_hyperparams(flat, x, rng),
+                   lambda rng: SuperResThetaModel(flat).sample_theta(x, rng, flat.encode(x))):
+        with pytest.raises(DegenerateScaleError, match="zero data residual"):
+            sample(RngState(45))
+    prior = simulate_data(truth, 2, offsets, 5, math.inf, RngState(44), beta_n=0.1)
+    rough_ss = prior.pixel_norms(x)[1]
+    rng = RngState(46)
+    want = (gamma_draw(rng, prior.n_data / 2, 1.0 / 0.1),
+            gamma_draw(rng, prior.penalty_rank / 2, 1.0 / (rough_ss / 2)))
+    got = SuperResThetaModel(prior).sample_theta(x, RngState(46), prior.encode(x))
+    assert (got.gamma_n, got.gamma_x) == want
+
+
+@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+def test_gram_precision_matches_factored_formulas(gamma_x):
+    # Dense maps: Q applied as one matrix must be sum_k M_k^T w_k M_k x, and
+    # the N(0, Q) draw must stay the factored one, value for value.
+    model = small_model(seed=47, dense=True)
+    hp = Hyperparams(gamma_n=0.7, gamma_x=gamma_x)
+    precision = build_precision(model, hp)
+    assert isinstance(precision, GramPrecision) and isinstance(precision, PrecisionModel)
+    fwd, pen = model.forward.matrix, model.penalty.matrix
+    x = np.random.default_rng(48).standard_normal(model.n_pixels)
+    want = hp.gamma_n * fwd.T @ (fwd @ x)
+    if gamma_x > 0:
+        want += hp.gamma_x * pen.T @ (pen @ x)
+    assert np.linalg.norm(precision.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+    gen = RngState(49).generator
+    z_data = gen.standard_normal(model.n_data)
+    z_data *= np.sqrt(hp.gamma_n)
+    eps = fwd.T @ z_data
+    if gamma_x > 0:
+        z_pix = gen.standard_normal(model.n_pixels)
+        z_pix *= np.sqrt(hp.gamma_x)
+        eps = eps + pen.T @ z_pix
+    assert np.array_equal(precision.draw_noise(RngState(49)), eps)
 
 
 def test_gradient_at_zero_is_negative_backprojection():
