@@ -8,6 +8,7 @@ can be reproduced from its own metadata.
 
 import argparse
 import csv
+import ctypes
 import json
 import logging
 import os
@@ -218,6 +219,41 @@ def _load_model(cfg):
     )
 
 
+# Thread-count getters exported by the OpenBLAS builds numpy ships with or
+# links to.
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads():
+    """Threads of the OpenBLAS mapped into this process, or None without one.
+
+    Reports record it because sums split over more threads round
+    differently, so long chains read different digits at different counts.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for getter in _OPENBLAS_GETTERS:
+            fn = getattr(lib, getter, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
+
+
 def _single_run(cfg, seed, out):
     model = _load_model(cfg)
     start = time.perf_counter()
@@ -238,6 +274,7 @@ def _single_run(cfg, seed, out):
         "sigma_gamma_x": result.gamma_x_std,
         "loop_ms": result.record.mean_wall_ms(),
         "total_s": total_s,
+        "blas_threads": _blas_threads(),
     }
     if model.truth is not None:
         err = result.posterior_mean - model.truth
@@ -297,6 +334,7 @@ def cmd_run(args):
             "chains": reports,
             "gamma_n_hat": float(np.mean([r["gamma_n_hat"] for r in reports])),
             "gamma_x_hat": float(np.mean([r["gamma_x_hat"] for r in reports])),
+            "blas_threads": _blas_threads(),
         }
         with open(out / "report.json", "w") as fh:
             json.dump(merged, fh, indent=2, sort_keys=True)
@@ -323,7 +361,8 @@ def cmd_diagnose(args):
               "burn_in": burn, "columns": {}}
     max_lag = min(args.max_lag, (rows.shape[0] - burn - 1) // 4)
     for j, name in enumerate(header):
-        if name in ("t", "wall_ms"):
+        # Per-iteration bookkeeping, not draws of the chain.
+        if name in ("t", "alpha_norm", "n_dirs", "wall_ms"):
             continue
         series = rows[burn:, j]
         entry = {"mean": float(series.mean()), "std": float(series.std())}
@@ -353,8 +392,8 @@ def cmd_validate(args):
     print(format_results(results))
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(results_report(args.suite, args.seed, results), fh,
-                      indent=2, sort_keys=True)
+            json.dump({**results_report(args.suite, args.seed, results),
+                       "blas_threads": _blas_threads()}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if all(r.passed for r in results if r.gating) else 1
 

@@ -13,13 +13,15 @@ form, runs in the pixels.
 
 `build_conjugate_set` grows, in whatever coordinates its precision works in,
 a set of unit directions that are mutually conjugate with respect to Q (a
-three-term Krylov recurrence, re-conjugated per step against the newest
-directions and, once per block of ``BLOCK`` directions, by matrix-matrix
-products against all older ones), and `sample_along` draws the exact
-Gaussian coefficients of the target N(m, Q^{-1}) along those directions. With
-a full set (as many directions as dimensions) one call produces an exact draw
-from the target; with fewer it is an exact draw from the conditional
-restricted to the spanned affine subspace.
+three-term Krylov recurrence; the first ``BLOCK`` directions are
+re-conjugated per step against all earlier ones, and every later block of
+``BLOCK`` directions once, by a Cholesky block step of matrix-matrix
+products against the older directions and within the block), and
+`sample_along` draws the exact Gaussian coefficients of the target
+N(m, Q^{-1}) along those directions. With a full set (as many directions as
+dimensions) one call produces an exact draw from the target; with fewer it
+is an exact draw from the conditional restricted to the spanned affine
+subspace.
 """
 
 from math import sqrt
@@ -36,8 +38,8 @@ from .rng import standard_normal_vector
 
 CURVATURE_DROP = 1e-12
 BREAKDOWN_TOL = 1e-12
-# Directions per block pass of the re-conjugation, and the largest defect
-# against the older directions that one block pass is trusted to remove.
+# Directions per block step of the re-conjugation, and the largest defect
+# against the older directions that one block step is trusted to remove.
 BLOCK = 32
 BLOCK_TOL = 1e-8
 
@@ -139,19 +141,29 @@ def densify_precision(precision, max_entries=DENSIFY_CAP):
 class ConjugateSet:
     """Unit-norm directions that are mutually conjugate w.r.t. one precision.
 
-    Stores the directions (rows of ``directions``), their images under Q and
-    the curvatures c_n = d_n^T Q d_n, all strictly positive.
+    Stores the directions (rows of ``directions``), the curvatures
+    c_n = d_n^T Q d_n, all strictly positive, and the precision. The images
+    Q d_n are not kept by the build; ``q_directions`` applies the precision
+    to each direction on first access and keeps the result.
     """
 
-    __slots__ = ("directions", "q_directions", "curvatures")
+    __slots__ = ("directions", "curvatures", "precision", "_q_directions")
 
-    def __init__(self, directions, q_directions, curvatures):
+    def __init__(self, directions, curvatures, precision):
         self.directions = directions
-        self.q_directions = q_directions
         self.curvatures = curvatures
+        self.precision = precision
+        self._q_directions = None
 
     def __len__(self):
         return self.directions.shape[0]
+
+    @property
+    def q_directions(self):
+        """Q d_n for every direction, as rows."""
+        if self._q_directions is None:
+            self._q_directions = np.array([self.precision.apply(d) for d in self.directions])
+        return self._q_directions
 
     def conjugacy_defect(self):
         """max over i != j of |d_i^T Q d_j| / sqrt(c_i c_j)."""
@@ -179,18 +191,24 @@ def build_conjugate_set(precision, d1, n_dirs):
     the Krylov space K_k(Q, d1). In exact arithmetic Q d_{k-1} is conjugate
     to all kept directions but d_{k-1} and d_{k-2}; the three-term step
     (CG/Lanczos) removes those two Q-projections. Rounding leaks the
-    candidate onto the older directions, and a classical Gram-Schmidt pass in
-    the Q inner product removes that, in two tiers. Each step passes over the
-    directions added since the last block pass, at most ``BLOCK`` of them.
-    When the block fills, and once more before returning, one block pass
-    conjugates the block against all older directions with matrix-matrix
-    products, updating the images Q d by the same combination, and
-    re-normalizes the block. The O(n_dirs^2 * dim) re-conjugation thus reads
-    the older directions once per block instead of once per direction. Up to
-    ``BLOCK`` directions this is one full pass per step. If a block direction
-    has leaked more than ``BLOCK_TOL`` onto the older ones (near-full sets),
-    one pass cannot be trusted to clean it: it and the rest of the block are
-    dropped, and the build finishes with one full pass per step.
+    candidate onto the older directions, which is removed in two tiers. The
+    first ``BLOCK`` directions each get one classical Gram-Schmidt pass in
+    the Q inner product over all earlier directions. After them each step is
+    the three-term step alone, and when a block of ``BLOCK`` directions
+    fills, and once more before returning, one block step conjugates the
+    block against all older directions and among itself: with C the block's
+    Q-projections onto the older directions and L the Cholesky factor of the
+    block's Q-Gram after projection, the rows L^{-1} (D_blk - C D_old) are
+    Q-orthonormal, and one matrix-matrix product forms them. The three-term
+    step keeps the set conjugate to rounding over a block (the leak grows
+    only as Ritz values converge), so the O(n_dirs^2 * dim) re-conjugation
+    reads the older directions once per block instead of once per
+    direction, and no image Q d is updated: after a block step Q is applied
+    again to its last two rows only, for the next three-term step. If a
+    block direction has leaked more than ``BLOCK_TOL`` onto the older ones
+    (near-full sets), one block step cannot be trusted to clean it: it and
+    the rest of the block are dropped, and the build finishes with one full
+    pass per step.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated
@@ -216,13 +234,12 @@ def build_conjugate_set(precision, d1, n_dirs):
     if seed_norm == 0.0:
         raise DegenerateDirectionError("seed direction is zero")
 
-    # One block for directions, their images and the block pass's scratch
-    # rows: freed together, it leaves the C allocator one free region, which
-    # it keeps for the next call. Separate blocks together crossed glibc's
-    # heap-trim threshold, so every call returned the pages to the OS and
-    # faulted them in again.
-    store = np.empty((2 * n_dirs + (BLOCK if n_dirs > BLOCK else 0), n))
-    dirs, qdirs, scratch = store[:n_dirs], store[n_dirs:2 * n_dirs], store[2 * n_dirs:]
+    # One block for the directions and their images: freed together, it
+    # leaves the C allocator one free region, which it keeps for the next
+    # call. Separate blocks together crossed glibc's heap-trim threshold, so
+    # every call returned the pages to the OS and faulted them in again.
+    store = np.empty((2 * n_dirs, n))
+    dirs, imgs = store[:n_dirs], store[n_dirs:]
     curv = np.empty(n_dirs)
 
     v = d1 / seed_norm
@@ -230,36 +247,45 @@ def build_conjugate_set(precision, d1, n_dirs):
     c = v @ q
     if c <= 0.0:
         raise IndefinitePrecisionError(f"seed curvature {c} is not positive")
-    dirs[0], qdirs[0], curv[0] = v, q, c
+    dirs[0], imgs[0], curv[0] = v, q, c
     drop = CURVATURE_DROP * c
 
     # Rows start:k form the open block; rows :start are conjugated already.
+    # A full pass per step runs while start is 0.
     k, start, stop = 1, 0, min(BLOCK, n_dirs)
     while True:
-        k, stopped = _extend(precision, dirs, qdirs, curv, k, stop, start, drop)
+        k, stopped = _extend(precision, dirs, imgs, curv, k, stop, not start, drop)
         if start:
-            kept = _conjugate_block(dirs, qdirs, curv, start, k, scratch)
+            kept = _conjugate_block(dirs, imgs, curv, start, k)
             if kept < k:
-                # Leaked too far for one block pass: finish one row at a time.
+                # Leaked too far for one block step: finish one row at a time
+                # with full passes, on fresh images of the re-combined rows.
+                for i in range(BLOCK, kept):
+                    imgs[i] = precision.apply(dirs[i])
                 k, start, stop = kept, 0, n_dirs
                 continue
         if stopped or k == n_dirs:
             break
+        if start:
+            # The next three-term steps read the images of the last two rows.
+            for i in (k - 2, k - 1):
+                imgs[i] = precision.apply(dirs[i])
         start, stop = k, min(k + BLOCK, n_dirs)
 
-    return ConjugateSet(dirs[:k], qdirs[:k], curv[:k])
+    return ConjugateSet(dirs[:k], curv[:k], precision)
 
 
-def _extend(precision, dirs, qdirs, curv, k, stop, start, drop):
-    """Add rows k..stop-1 by the three-term step plus a pass over rows start:k.
+def _extend(precision, dirs, imgs, curv, k, stop, full, drop):
+    """Add rows k..stop-1 by the three-term step, plus, when ``full``, a
+    pass over all earlier rows.
 
     Returns the new row count and whether the build stopped early.
     """
     while k < stop:
-        cand = qdirs[k - 1].copy()
+        cand = imgs[k - 1].copy()
         pre_norm = sqrt(cand @ cand)
-        for lo in (max(k - 2, 0), start):
-            coef = (qdirs[lo:k] @ cand) / curv[lo:k]
+        for lo in (max(k - 2, 0), 0) if full else (k - 2,):
+            coef = (imgs[lo:k] @ cand) / curv[lo:k]
             cand -= coef @ dirs[lo:k]
         norm = sqrt(cand @ cand)
         if norm <= BREAKDOWN_TOL * pre_norm:
@@ -269,30 +295,45 @@ def _extend(precision, dirs, qdirs, curv, k, stop, start, drop):
         c = v @ q
         if c <= drop:
             return k, True
-        dirs[k], qdirs[k], curv[k] = v, q, c
+        dirs[k], imgs[k], curv[k] = v, q, c
         k += 1
     return k, False
 
 
-def _conjugate_block(dirs, qdirs, curv, start, stop, scratch):
-    """Conjugate rows start:stop against rows :start in one pass.
+def _conjugate_block(dirs, imgs, curv, start, stop):
+    """Conjugate rows start:stop against rows :start and among themselves.
 
-    A row whose defect against the older rows, max_j |d_i^T Q d_j| /
-    sqrt(c_i c_j), exceeds ``BLOCK_TOL`` is dropped with every later row.
-    Returns the row count kept.
+    Reads the images of rows start:stop and leaves them stale. A row whose
+    defect against the older rows, max_j |d_i^T Q d_j| / sqrt(c_i c_j),
+    exceeds ``BLOCK_TOL`` is dropped with every later row, and so is the
+    whole block if its projected Q-Gram is not positive definite. Returns
+    the row count kept.
     """
     old = slice(0, start)
-    coef = (dirs[start:stop] @ qdirs[old].T) / curv[old]
+    # Q inner products of the block with every row: C and the block's Gram.
+    inner = imgs[start:stop] @ dirs[:stop].T
+    coef = inner[:, old] / curv[old]
     defect = (np.abs(coef) * np.sqrt(curv[old])).max(axis=1) / np.sqrt(curv[start:stop])
     leaked = np.flatnonzero(defect > BLOCK_TOL)
     stop = start + leaked[0] if leaked.size else stop
-    blk, coef, update = slice(start, stop), coef[:stop - start], scratch[:stop - start]
-    for rows in (dirs, qdirs):
-        rows[blk] -= np.matmul(coef, rows[old], out=update)
-    norms = np.sqrt(np.einsum("ij,ij->i", dirs[blk], dirs[blk]))[:, None]
-    dirs[blk] /= norms
-    qdirs[blk] /= norms
-    curv[blk] = np.einsum("ij,ij->i", dirs[blk], qdirs[blk])
+    blk, coef = slice(start, stop), coef[:stop - start]
+    # The block's Q-Gram after projection. The guard keeps its second term
+    # below rounding, but with it G is exact for any tolerance.
+    gram = inner[:stop - start, blk] - (coef * curv[old]) @ coef.T
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return start
+    # numpy's solve, not scipy's triangular one: scipy's OpenBLAS keeps a
+    # thread pool of its own, which at the default thread count contended
+    # with numpy's on the GEMMs and made the k=150 build 57 ms, not 22.
+    mix = np.linalg.solve(chol, np.hstack([-coef, np.eye(stop - start)]))
+    # Rows of [-L^{-1} C | L^{-1}] D are Q-orthonormal, so a unit row's
+    # curvature is 1 / |row|^2.
+    rows = np.matmul(mix, dirs[:stop], out=imgs[blk])
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    np.divide(rows, norms[:, None], out=dirs[blk])
+    curv[blk] = 1.0 / norms**2
     return stop
 
 

@@ -65,7 +65,22 @@ def test_run_produces_outputs_and_report(tmp_path):
     assert "truth_rel_error" in report
     assert len(list(out.glob("snap_*.f64"))) == 3
     header = (out / "chain.csv").read_text().splitlines()[0]
-    assert header == "t,gamma_n,gamma_x,J,wall_ms"
+    assert header == "t,gamma_n,gamma_x,J,alpha_norm,n_dirs,wall_ms"
+
+
+def test_reports_record_blas_threads_and_directions_reached(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
+    assert run_cli("validate", "operators", "--report", tmp_path / "ops.json") == 0
+    for path in (out / "report.json", tmp_path / "ops.json"):
+        threads = json.loads(path.read_text())["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+    rows = (out / "chain.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    columns = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert (columns[:, header.index("n_dirs")] == 4).all()
+    assert (columns[:, header.index("alpha_norm")] > 0).all()
 
 
 def test_run_without_truth_reports_no_truth_error(tmp_path):

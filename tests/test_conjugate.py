@@ -1,5 +1,7 @@
 """Conjugate set construction and directional sampling against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,9 +97,9 @@ def test_full_set_conjugacy_on_random_spd():
 @pytest.mark.parametrize("gamma_x", [1.0, 1e4])
 def test_desk_scale_k150_stays_conjugate(gamma_x):
     # The 64x64 desk scene at k=150, also at the scale gamma_x runs away to:
-    # the three-term step, the per-step pass over the open block and one
-    # block pass per 32 directions must keep the whole set conjugate, with
-    # no early stop.
+    # the per-step full pass over the first 32 directions, the three-term
+    # step after them and one block step per 32 directions must keep the
+    # whole set conjugate, with no early stop.
     hp = Hyperparams(gamma_n=1.0, gamma_x=gamma_x)
     precision = build_precision(build_desk_model(31), hp)
     assert isinstance(precision, SpectralPrecision)
@@ -191,8 +193,8 @@ def test_multi_block_build_keeps_span_and_images(gamma_x):
     for n_dirs, cset in csets.items():
         assert len(cset) == n_dirs
         assert cset.conjugacy_defect() <= 1e-8
-        # The block pass updates the stored images by the same combination
-        # as the directions; they must still be Q times the directions.
+        # The block step re-combines the directions; the images, applied on
+        # demand, must still be Q times them.
         fresh = np.array([precision.apply(d) for d in cset.directions])
         err = np.linalg.norm(cset.q_directions - fresh, axis=1)
         assert (err / np.linalg.norm(fresh, axis=1)).max() <= 1e-13
@@ -232,6 +234,68 @@ def test_early_stop_runs_the_final_block_pass():
     cset = build_conjugate_set(model, d1, 2 * m)
     assert BLOCK < len(cset) == m
     assert cset.conjugacy_defect() <= 1e-14
+
+
+class CountingPrecision:
+    """A precision that counts its applies."""
+
+    def __init__(self, precision):
+        self.precision, self.dim, self.calls = precision, precision.dim, 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.precision.apply(x)
+
+
+@pytest.mark.parametrize("gamma_x", [1.0, 1e4, 6e6])
+def test_block_steps_keep_desk_k150_conjugate_to_rounding(gamma_x):
+    # Past the first block each step is the three-term step alone, and the
+    # block step re-conjugates each block of 32: within a block the leak
+    # reaches about 1e-10 against the older rows and 1e-12 among the block's
+    # own rows, and what one block step leaves is about 1e-15.
+    precision = CountingPrecision(desk_coordinates(gamma_x))
+    d1 = np.random.default_rng(49).standard_normal(precision.dim)
+    cset = build_conjugate_set(precision, d1, 150)
+    assert len(cset) == 150
+    # One Q-apply per direction, plus two after each block step the build
+    # goes on from: the guard never trips, and no image is recomputed.
+    assert precision.calls == 150 + 2 * (150 // BLOCK - 1)
+    assert cset.conjugacy_defect() <= 1e-13
+
+
+@pytest.mark.parametrize("model, n_dirs", [("spd", 40), ("desk", 80)])
+def test_q_directions_are_the_precision_applied_per_row(model, n_dirs):
+    if model == "desk":
+        precision = desk_coordinates(1e4)
+    else:
+        precision, _, _ = random_spd_precision(40, 50)
+    d1 = np.random.default_rng(51).standard_normal(precision.dim)
+    cset = build_conjugate_set(precision, d1, n_dirs)
+    fresh = np.array([precision.apply(d) for d in cset.directions])
+    assert np.array_equal(cset.q_directions, fresh)
+    assert cset.q_directions is cset.q_directions
+    # Curvatures of re-combined rows come from their norms; they must still
+    # be d^T Q d.
+    curv = np.einsum("ij,ij->i", cset.directions, fresh)
+    assert np.abs(cset.curvatures / curv - 1.0).max() <= 1e-13
+
+
+def test_build_allocates_one_store():
+    # Directions and their images share one allocation of 2 * n_dirs rows;
+    # the block step adds no rows beyond a few temporary vectors.
+    precision = desk_coordinates(1.0)
+    n_dirs, row = 150, precision.dim * 8
+    d1 = np.random.default_rng(52).standard_normal(precision.dim)
+    build_conjugate_set(precision, d1, n_dirs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cset = build_conjugate_set(precision, d1, n_dirs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cset) == n_dirs
+    assert peak <= (2 * n_dirs + BLOCK) * row
 
 
 def test_directions_span_the_krylov_space():

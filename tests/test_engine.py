@@ -155,7 +155,7 @@ def test_chain_record_save_and_reload(tmp_path):
     record = run_chain(FixedGaussianModel(model), np.zeros(3), cfg)
     record.save(tmp_path)
     header = (tmp_path / "chain.csv").read_text().splitlines()[0]
-    assert header == "t,J,wall_ms"
+    assert header == "t,J,alpha_norm,n_dirs,wall_ms"
     assert sorted(p.name for p in tmp_path.glob("snap_*.f64")) == [
         "snap_20.f64", "snap_30.f64", "snap_40.f64",
     ]
