@@ -362,7 +362,7 @@ def cmd_diagnose(args):
     max_lag = min(args.max_lag, (rows.shape[0] - burn - 1) // 4)
     for j, name in enumerate(header):
         # Per-iteration bookkeeping, not draws of the chain.
-        if name in ("t", "alpha_norm", "n_dirs", "wall_ms"):
+        if name in ("t", "alpha_norm", "n_dirs", "skipped", "wall_ms"):
             continue
         series = rows[burn:, j]
         entry = {"mean": float(series.mean()), "std": float(series.std())}

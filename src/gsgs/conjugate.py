@@ -12,12 +12,12 @@ its product needs no FFT. `PrecisionModel`, the generic precision in factored
 form, runs in the pixels.
 
 `build_conjugate_set` grows, in whatever coordinates its precision works in,
-a set of unit directions that are mutually conjugate with respect to Q (a
+a set of directions that are mutually conjugate with respect to Q (a
 three-term Krylov recurrence; the first ``BLOCK`` directions are
 re-conjugated per step against all earlier ones, and every later block of
-``BLOCK`` directions once, by a Cholesky block step of matrix-matrix
-products against the older directions and within the block), and
-`sample_along` draws the exact Gaussian coefficients of the target
+``BLOCK`` directions once, by a block step that records its Gram-Schmidt
+coefficients in a triangular transform of the rows instead of rewriting
+them), and `sample_along` draws the exact Gaussian coefficients of the target
 N(m, Q^{-1}) along those directions. With a full set (as many directions as
 dimensions) one call produces an exact draw from the target; with fewer it
 is an exact draw from the conditional restricted to the spanned affine
@@ -139,24 +139,39 @@ def densify_precision(precision, max_entries=DENSIFY_CAP):
 
 
 class ConjugateSet:
-    """Unit-norm directions that are mutually conjugate w.r.t. one precision.
+    """Directions that are mutually conjugate w.r.t. one precision.
 
-    Stores the directions (rows of ``directions``), the curvatures
-    c_n = d_n^T Q d_n, all strictly positive, and the precision. The images
-    Q d_n are not kept by the build; ``q_directions`` applies the precision
-    to each direction on first access and keeps the result.
+    The directions are ``transform @ rows``: ``rows`` holds unit rows as the
+    build left them, and ``transform`` a lower-triangular matrix that
+    re-conjugates them, or None where the rows are the directions already
+    (sets of at most ``BLOCK`` directions). ``directions`` forms them on
+    first access. ``curvatures`` holds c_n = d_n^T Q d_n, all strictly
+    positive. The images Q d_n are not kept by the build; ``q_directions``
+    applies the precision to each direction on first access and keeps the
+    result.
     """
 
-    __slots__ = ("directions", "curvatures", "precision", "_q_directions")
+    __slots__ = ("rows", "transform", "curvatures", "precision", "_directions",
+                 "_q_directions")
 
-    def __init__(self, directions, curvatures, precision):
-        self.directions = directions
+    def __init__(self, rows, curvatures, precision, transform=None):
+        self.rows = rows
+        self.transform = transform
         self.curvatures = curvatures
         self.precision = precision
+        self._directions = None
         self._q_directions = None
 
     def __len__(self):
-        return self.directions.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def directions(self):
+        """The directions d_n, as rows."""
+        if self._directions is None:
+            tf = self.transform
+            self._directions = self.rows if tf is None else tf @ self.rows
+        return self._directions
 
     @property
     def q_directions(self):
@@ -177,7 +192,7 @@ class ConjugateSet:
 
 
 def build_conjugate_set(precision, d1, n_dirs):
-    """Grow up to ``n_dirs`` mutually conjugate unit directions from seed d1.
+    """Grow up to ``n_dirs`` mutually conjugate directions from seed d1.
 
     Parameters
     ----------
@@ -194,21 +209,24 @@ def build_conjugate_set(precision, d1, n_dirs):
     candidate onto the older directions, which is removed in two tiers. The
     first ``BLOCK`` directions each get one classical Gram-Schmidt pass in
     the Q inner product over all earlier directions. After them each step is
-    the three-term step alone, and when a block of ``BLOCK`` directions
-    fills, and once more before returning, one block step conjugates the
-    block against all older directions and among itself: with C the block's
-    Q-projections onto the older directions and L the Cholesky factor of the
-    block's Q-Gram after projection, the rows L^{-1} (D_blk - C D_old) are
-    Q-orthonormal, and one matrix-matrix product forms them. The three-term
-    step keeps the set conjugate to rounding over a block (the leak grows
-    only as Ritz values converge), so the O(n_dirs^2 * dim) re-conjugation
-    reads the older directions once per block instead of once per
-    direction, and no image Q d is updated: after a block step Q is applied
-    again to its last two rows only, for the next three-term step. If a
-    block direction has leaked more than ``BLOCK_TOL`` onto the older ones
-    (near-full sets), one block step cannot be trusted to clean it: it and
-    the rest of the block are dropped, and the build finishes with one full
-    pass per step.
+    the three-term step alone, and when a block of ``BLOCK`` rows fills, and
+    once more before returning, one block step records the block's
+    classical Gram-Schmidt coefficients, against the older directions and
+    among its own rows, without applying them: the directions are
+    D = T R, with R the unit rows the three-term step built and T lower
+    triangular, and a block's rows of T are [-C T_old | I - E], with C the
+    rows' Q-projections onto the older directions and E the strictly lower
+    ones among the block's rows. One matrix-matrix product, the block's
+    images against every row, gives both. The three-term step keeps the set
+    conjugate to rounding over a block (the leak grows only as Ritz values
+    converge), so the O(n_dirs^2 * dim) re-conjugation reads the rows once
+    per block instead of once per direction, and what one first-order step
+    leaves is second order in the leak. Before the next three-term step the
+    block's last two rows are replaced by their directions and Q applied to
+    them. If a block row has leaked more than ``BLOCK_TOL`` onto any earlier
+    row (near-full sets), one block step cannot be trusted to clean it: it
+    and the rest of the block are dropped, every row is replaced by its
+    direction, and the build finishes with one full pass per step.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated
@@ -234,13 +252,15 @@ def build_conjugate_set(precision, d1, n_dirs):
     if seed_norm == 0.0:
         raise DegenerateDirectionError("seed direction is zero")
 
-    # One block for the directions and their images: freed together, it
-    # leaves the C allocator one free region, which it keeps for the next
-    # call. Separate blocks together crossed glibc's heap-trim threshold, so
-    # every call returned the pages to the OS and faulted them in again.
+    # One block for the rows and their images: freed together, it leaves the
+    # C allocator one free region, which it keeps for the next call. Separate
+    # blocks together crossed glibc's heap-trim threshold, so every call
+    # returned the pages to the OS and faulted them in again.
     store = np.empty((2 * n_dirs, n))
     dirs, imgs = store[:n_dirs], store[n_dirs:]
     curv = np.empty(n_dirs)
+    # The directions are tf @ dirs; without tf, the rows are the directions.
+    tf = np.eye(n_dirs) if n_dirs > BLOCK else None
 
     v = d1 / seed_norm
     q = precision.apply(v)
@@ -256,23 +276,22 @@ def build_conjugate_set(precision, d1, n_dirs):
     while True:
         k, stopped = _extend(precision, dirs, imgs, curv, k, stop, not start, drop)
         if start:
-            kept = _conjugate_block(dirs, imgs, curv, start, k)
+            kept = _conjugate_block(dirs, imgs, curv, tf, start, k)
             if kept < k:
                 # Leaked too far for one block step: finish one row at a time
-                # with full passes, on fresh images of the re-combined rows.
-                for i in range(BLOCK, kept):
-                    imgs[i] = precision.apply(dirs[i])
-                k, start, stop = kept, 0, n_dirs
+                # with full passes, on the directions and their images.
+                _materialize(precision, dirs, imgs, curv, tf, BLOCK, kept)
+                k, start, stop, tf = kept, 0, n_dirs, None
                 continue
         if stopped or k == n_dirs:
             break
         if start:
-            # The next three-term steps read the images of the last two rows.
-            for i in (k - 2, k - 1):
-                imgs[i] = precision.apply(dirs[i])
+            # The next three-term steps read the last two directions.
+            _materialize(precision, dirs, imgs, curv, tf, k - 2, k)
         start, stop = k, min(k + BLOCK, n_dirs)
 
-    return ConjugateSet(dirs[:k], curv[:k], precision)
+    return ConjugateSet(dirs[:k], curv[:k], precision,
+                        None if tf is None or k <= BLOCK else tf[:k, :k])
 
 
 def _extend(precision, dirs, imgs, curv, k, stop, full, drop):
@@ -300,41 +319,40 @@ def _extend(precision, dirs, imgs, curv, k, stop, full, drop):
     return k, False
 
 
-def _conjugate_block(dirs, imgs, curv, start, stop):
-    """Conjugate rows start:stop against rows :start and among themselves.
+def _conjugate_block(dirs, imgs, curv, tf, start, stop):
+    """Record in ``tf`` the re-conjugation of rows start:stop against the
+    directions tf[:start] @ dirs and among themselves.
 
-    Reads the images of rows start:stop and leaves them stale. A row whose
-    defect against the older rows, max_j |d_i^T Q d_j| / sqrt(c_i c_j),
-    exceeds ``BLOCK_TOL`` is dropped with every later row, and so is the
-    whole block if its projected Q-Gram is not positive definite. Returns
-    the row count kept.
+    A row whose defect against any earlier row, |d_i^T Q d_j| / sqrt(c_i c_j),
+    exceeds ``BLOCK_TOL`` is dropped with every later row. Returns the row
+    count kept.
     """
-    old = slice(0, start)
-    # Q inner products of the block with every row: C and the block's Gram.
-    inner = imgs[start:stop] @ dirs[:stop].T
-    coef = inner[:, old] / curv[old]
-    defect = (np.abs(coef) * np.sqrt(curv[old])).max(axis=1) / np.sqrt(curv[start:stop])
+    if stop == start:
+        return start
+    old, blk = slice(0, start), slice(start, stop)
+    # Q inner products of the block's rows with every row, then with the
+    # older directions; within the block only those with earlier rows count.
+    inner = imgs[blk] @ dirs[:stop].T
+    cross = np.hstack([inner[:, old] @ tf[old, old].T, np.tril(inner[:, blk], -1)])
+    scale = np.sqrt(curv[:stop])
+    defect = (np.abs(cross) / scale).max(axis=1) / scale[blk]
     leaked = np.flatnonzero(defect > BLOCK_TOL)
     stop = start + leaked[0] if leaked.size else stop
-    blk, coef = slice(start, stop), coef[:stop - start]
-    # The block's Q-Gram after projection. The guard keeps its second term
-    # below rounding, but with it G is exact for any tolerance.
-    gram = inner[:stop - start, blk] - (coef * curv[old]) @ coef.T
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return start
-    # numpy's solve, not scipy's triangular one: scipy's OpenBLAS keeps a
-    # thread pool of its own, which at the default thread count contended
-    # with numpy's on the GEMMs and made the k=150 build 57 ms, not 22.
-    mix = np.linalg.solve(chol, np.hstack([-coef, np.eye(stop - start)]))
-    # Rows of [-L^{-1} C | L^{-1}] D are Q-orthonormal, so a unit row's
-    # curvature is 1 / |row|^2.
-    rows = np.matmul(mix, dirs[:stop], out=imgs[blk])
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    np.divide(rows, norms[:, None], out=dirs[blk])
-    curv[blk] = 1.0 / norms**2
+    # The curvatures keep the rows' own: the block step changes them at
+    # second order in the leak only.
+    coef = cross[:stop - start, :stop] / curv[:stop]
+    tf[start:stop, old] = -coef[:, old] @ tf[old, old]
+    tf[start:stop, start:stop] -= coef[:, start:]
     return stop
+
+
+def _materialize(precision, dirs, imgs, curv, tf, lo, hi):
+    """Replace rows lo:hi by their directions, with images and curvatures."""
+    dirs[lo:hi] = tf[lo:hi, :hi] @ dirs[:hi]
+    tf[lo:hi] = np.eye(hi - lo, len(tf), lo)
+    for i in range(lo, hi):
+        imgs[i] = precision.apply(dirs[i])
+        curv[i] = dirs[i] @ imgs[i]
 
 
 def sample_along(precision, cset, x0, rng, gradient=None):
@@ -352,6 +370,9 @@ def sample_along(precision, cset, x0, rng, gradient=None):
     if curv.min() <= 0.0:
         raise IndefinitePrecisionError("conjugate set holds a non-positive curvature")
     g = precision.gradient(x0) if gradient is None else gradient
-    means = (cset.directions @ g) / curv
+    tf = cset.transform
+    # With D = T R: D g = T (R g), and alpha^T D = (alpha^T T) R.
+    proj = cset.rows @ g
+    means = (proj if tf is None else tf @ proj) / curv
     alphas = means + standard_normal_vector(rng, len(cset)) / np.sqrt(curv)
-    return x0 - alphas @ cset.directions, alphas
+    return x0 - (alphas if tf is None else alphas @ tf) @ cset.rows, alphas

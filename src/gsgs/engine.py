@@ -136,8 +136,9 @@ class ChainRecord:
     J(x) = x^T Q x / 2 - b^T x evaluated at the pre-update point under the
     fresh theta (equal to the Gaussian potential up to a term constant in x),
     the coefficient magnitude ||alpha||, the number of directions the
-    conjugate set reached (0 where not observed) and the wall time per
-    iteration.
+    conjugate set reached (0 where not observed), whether the x update was
+    skipped for a zero seed direction (0 where not observed) and the wall
+    time per iteration.
     Running mean / second moment accumulate over every post-burn-in iterate;
     snapshots additionally keep thinned copies of x.
     """
@@ -152,10 +153,11 @@ class ChainRecord:
         self.theta_trace = np.empty((max_iters, len(self.theta_names)))
         self.potential = np.empty(max_iters)
         self.alpha_norm = np.empty(max_iters)
-        # Allocated by the first observe that passes n_dirs: allocated
-        # up front, even untouched, it added ~0.9 MB to the peak RSS of a
+        # Allocated by the first observe that passes them: allocated up
+        # front, even untouched, n_dirs added ~0.9 MB to the peak RSS of a
         # 160,000-iteration chain sized for 4,000,000.
         self.n_dirs = None
+        self.skipped = None
         self.wall_ms = np.empty(max_iters)
         self.snapshots = []
         self.n_iterations = 0
@@ -163,7 +165,8 @@ class ChainRecord:
         self._mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
 
-    def observe(self, t, theta_values, potential, alpha_norm, wall_ms, x, n_dirs=None):
+    def observe(self, t, theta_values, potential, alpha_norm, wall_ms, x, n_dirs=None,
+                skipped=None):
         i = t - 1
         self.theta_trace[i] = theta_values
         self.potential[i] = potential
@@ -172,6 +175,10 @@ class ChainRecord:
             if self.n_dirs is None:
                 self.n_dirs = np.zeros(self.max_iters, dtype=np.int64)
             self.n_dirs[i] = n_dirs
+        if skipped is not None:
+            if self.skipped is None:
+                self.skipped = np.zeros(self.max_iters, dtype=bool)
+            self.skipped[i] = skipped
         self.wall_ms[i] = wall_ms
         self.n_iterations = t
         if t > self.burn_in:
@@ -221,9 +228,11 @@ class ChainRecord:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         n_dirs = self.n_dirs if self.n_dirs is not None else np.zeros(self.n_iterations, np.int64)
+        skipped = self.skipped if self.skipped is not None else np.zeros(self.n_iterations, bool)
         with open(directory / "chain.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", *self.theta_names, "J", "alpha_norm", "n_dirs", "wall_ms"])
+            writer.writerow(["t", *self.theta_names, "J", "alpha_norm", "n_dirs", "skipped",
+                             "wall_ms"])
             for i in range(self.n_iterations):
                 writer.writerow(
                     [
@@ -232,6 +241,7 @@ class ChainRecord:
                         f"{self.potential[i]:.17g}",
                         f"{self.alpha_norm[i]:.17g}",
                         n_dirs[i],
+                        int(skipped[i]),
                         f"{self.wall_ms[i]:.6g}",
                     ]
                 )
@@ -332,6 +342,7 @@ def run_chain(model, x0, cfg):
             wall_ms=wall_ms,
             x=state.x,
             n_dirs=state.last_step["n_dirs"],
+            skipped=state.last_step["skipped"],
         )
     return record
 

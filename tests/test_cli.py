@@ -65,7 +65,7 @@ def test_run_produces_outputs_and_report(tmp_path):
     assert "truth_rel_error" in report
     assert len(list(out.glob("snap_*.f64"))) == 3
     header = (out / "chain.csv").read_text().splitlines()[0]
-    assert header == "t,gamma_n,gamma_x,J,alpha_norm,n_dirs,wall_ms"
+    assert header == "t,gamma_n,gamma_x,J,alpha_norm,n_dirs,skipped,wall_ms"
 
 
 def test_reports_record_blas_threads_and_directions_reached(tmp_path):

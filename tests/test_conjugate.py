@@ -21,9 +21,11 @@ from gsgs import (
 )
 from gsgs.conjugate import (
     BLOCK,
+    ConjugateSet,
     BREAKDOWN_TOL,
     CURVATURE_DROP,
     PrecisionModel,
+    _conjugate_block,
     build_conjugate_set,
     densify_precision,
     sample_along,
@@ -193,8 +195,8 @@ def test_multi_block_build_keeps_span_and_images(gamma_x):
     for n_dirs, cset in csets.items():
         assert len(cset) == n_dirs
         assert cset.conjugacy_defect() <= 1e-8
-        # The block step re-combines the directions; the images, applied on
-        # demand, must still be Q times them.
+        # The directions are formed from the rows and the transform; the
+        # images, applied on demand, must still be Q times them.
         fresh = np.array([precision.apply(d) for d in cset.directions])
         err = np.linalg.norm(cset.q_directions - fresh, axis=1)
         assert (err / np.linalg.norm(fresh, axis=1)).max() <= 1e-13
@@ -206,11 +208,13 @@ def test_multi_block_build_keeps_span_and_images(gamma_x):
     assert np.linalg.norm(residual, axis=0).max() <= 1e-6
 
 
-@pytest.mark.parametrize("m", [36, 50, 70])
+@pytest.mark.parametrize("m", [32, 36, 50, 64, 70])
 def test_krylov_space_exhausted_after_first_block(m):
     # Q = diag(lambda_1, lambda_1, ..., lambda_m, lambda_m) seeded on one
     # coordinate of each pair: K(Q, d1) has dimension m, so the build stops
     # there, in a later block, and the final block pass runs on that stop.
+    # At m = 32 and 64 it stops on a block boundary, with the open block
+    # empty.
     eigs = np.repeat(np.linspace(1.0, 4.0, m), 2)
     model = PrecisionModel(2 * m, [(DenseOperator(np.diag(np.sqrt(eigs))), 1.0)],
                            np.zeros(2 * m))
@@ -236,6 +240,30 @@ def test_early_stop_runs_the_final_block_pass():
     assert cset.conjugacy_defect() <= 1e-14
 
 
+def test_block_step_checks_the_leak_within_its_block():
+    # Q = diag(q) and unit rows: the first block's rows and the open block's
+    # are coordinate vectors, clean against each other, except that the
+    # block's second row leaks 1e-10 and its fourth 1e-6 onto the block's
+    # first. One first-order step removes the small leak; the large one
+    # trips the guard, which keeps the three rows before it.
+    n, start, stop = BLOCK + 8, BLOCK, BLOCK + 6
+    q = np.linspace(1.0, 4.0, n)
+    dirs = np.eye(stop, n)
+    for row, leak in ((start + 1, 1e-10), (start + 3, 1e-6)):
+        dirs[row, start] = leak
+        dirs[row] /= np.linalg.norm(dirs[row])
+    imgs = dirs * q
+    curv = np.einsum("ij,ij->i", dirs, imgs)
+    tf = np.eye(stop)
+    kept = _conjugate_block(dirs, imgs, curv, tf, start, stop)
+    assert kept == start + 3
+    formed = tf[:kept, :kept] @ dirs[:kept]
+    gram = (formed * q) @ formed.T
+    off = np.abs(gram) / np.sqrt(np.outer(curv[:kept], curv[:kept]))
+    np.fill_diagonal(off, 0.0)
+    assert off.max() <= 1e-16
+
+
 class CountingPrecision:
     """A precision that counts its applies."""
 
@@ -250,17 +278,38 @@ class CountingPrecision:
 @pytest.mark.parametrize("gamma_x", [1.0, 1e4, 6e6])
 def test_block_steps_keep_desk_k150_conjugate_to_rounding(gamma_x):
     # Past the first block each step is the three-term step alone, and the
-    # block step re-conjugates each block of 32: within a block the leak
-    # reaches about 1e-10 against the older rows and 1e-12 among the block's
-    # own rows, and what one block step leaves is about 1e-15.
+    # block step records the re-conjugation of each block of 32 in the
+    # transform: within a block the leak reaches about 1e-10 against the
+    # older rows and 1e-12 among the block's own rows, and what one
+    # first-order step leaves, second order in the leak, is below rounding.
     precision = CountingPrecision(desk_coordinates(gamma_x))
     d1 = np.random.default_rng(49).standard_normal(precision.dim)
     cset = build_conjugate_set(precision, d1, 150)
     assert len(cset) == 150
     # One Q-apply per direction, plus two after each block step the build
-    # goes on from: the guard never trips, and no image is recomputed.
+    # goes on from, for the block's last two rows once replaced by their
+    # directions: the guard never trips, and no other image is recomputed.
     assert precision.calls == 150 + 2 * (150 // BLOCK - 1)
     assert cset.conjugacy_defect() <= 1e-13
+
+
+@pytest.mark.parametrize("n_dirs", [80, 150])
+@pytest.mark.parametrize("gamma_x", [1.0, 1e4])
+def test_sample_along_through_transform_matches_materialized_directions(gamma_x, n_dirs):
+    # sample_along draws through D = T R without forming D; the same draw
+    # on the formed directions, with no transform, must agree to rounding.
+    precision = desk_coordinates(gamma_x)
+    gen = np.random.default_rng(53)
+    cset = build_conjugate_set(precision, gen.standard_normal(precision.dim), n_dirs)
+    assert cset.transform is not None
+    formed = ConjugateSet(cset.directions, cset.curvatures, precision)
+    x0 = gen.standard_normal(precision.dim)
+    x_t, alphas_t = sample_along(precision, cset, x0, RngState(54))
+    x_d, alphas_d = sample_along(precision, formed, x0, RngState(54))
+    assert np.abs(alphas_t - alphas_d).max() <= 1e-12 * np.abs(alphas_d).max()
+    step_t, step_d = x0 - x_t, x0 - x_d
+    assert np.abs(step_t - step_d).max() <= 1e-12 * np.abs(step_d).max()
+    assert np.abs(x_t - x_d).max() <= 1e-12 * np.abs(x_d).max()
 
 
 @pytest.mark.parametrize("model, n_dirs", [("spd", 40), ("desk", 80)])
@@ -274,15 +323,16 @@ def test_q_directions_are_the_precision_applied_per_row(model, n_dirs):
     fresh = np.array([precision.apply(d) for d in cset.directions])
     assert np.array_equal(cset.q_directions, fresh)
     assert cset.q_directions is cset.q_directions
-    # Curvatures of re-combined rows come from their norms; they must still
-    # be d^T Q d.
+    # Past the first block the curvatures are the rows' own, which the
+    # transform changes at second order only; they must still be d^T Q d.
     curv = np.einsum("ij,ij->i", cset.directions, fresh)
     assert np.abs(cset.curvatures / curv - 1.0).max() <= 1e-13
 
 
 def test_build_allocates_one_store():
-    # Directions and their images share one allocation of 2 * n_dirs rows;
-    # the block step adds no rows beyond a few temporary vectors.
+    # Rows and their images share one allocation of 2 * n_dirs rows; the
+    # transform (n_dirs^2 values, about five rows here) and the block step's
+    # temporary vectors add no more than BLOCK rows.
     precision = desk_coordinates(1.0)
     n_dirs, row = 150, precision.dim * 8
     d1 = np.random.default_rng(52).standard_normal(precision.dim)

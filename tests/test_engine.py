@@ -93,6 +93,23 @@ def test_zero_seed_direction_skips_update(caplog):
     assert any("zero seed direction" in m for m in caplog.messages)
 
 
+def test_chain_record_keeps_skipped_steps(tmp_path):
+    # From the mean with no perturbation every step has a zero seed; from
+    # any other point none has. chain.csv marks the skipped rows.
+    b = np.array([0.5, -1.0, 2.0])
+    model = FixedGaussianModel(identity_precision(3, b=b))  # mean = b
+    cfg = GsgsConfig(n_dirs=3, max_iters=4, perturbation="none", seed=0)
+    for x0, skipped in ((b, 1), (np.zeros(3), 0)):
+        record = run_chain(model, x0.copy(), cfg)
+        assert record.skipped.dtype == bool
+        np.testing.assert_array_equal(record.skipped, bool(skipped))
+        record.save(tmp_path)
+        rows = (tmp_path / "chain.csv").read_text().splitlines()
+        column = rows[0].split(",").index("skipped")
+        assert [int(row.split(",")[column]) for row in rows[1:]] == [skipped] * 4
+        assert all((row.split(",")[column - 1] == "0") == skipped for row in rows[1:])
+
+
 def test_non_finite_state_is_fatal():
     model = FixedGaussianModel(identity_precision(2, b=np.array([np.nan, 0.0])))
     cfg = GsgsConfig(n_dirs=2, max_iters=5, seed=0)
@@ -155,7 +172,7 @@ def test_chain_record_save_and_reload(tmp_path):
     record = run_chain(FixedGaussianModel(model), np.zeros(3), cfg)
     record.save(tmp_path)
     header = (tmp_path / "chain.csv").read_text().splitlines()[0]
-    assert header == "t,J,alpha_norm,n_dirs,wall_ms"
+    assert header == "t,J,alpha_norm,n_dirs,skipped,wall_ms"
     assert sorted(p.name for p in tmp_path.glob("snap_*.f64")) == [
         "snap_20.f64", "snap_30.f64", "snap_40.f64",
     ]
