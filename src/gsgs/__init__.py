@@ -61,6 +61,7 @@ from .superres import (
     SuperResThetaModel,
     build_precision,
     exact_gibbs_reference,
+    exact_step,
     geometry_operators,
     phantom,
     run_superres,

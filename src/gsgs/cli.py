@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import autocorrelation
-from .engine import PERTURBATIONS, GsgsConfig
+from .engine import BOOKKEEPING_COLUMNS, PERTURBATIONS, GsgsConfig
 from .errors import ConfigurationError, GsgsError
 from .imgio import read_image_f64, write_image_f64, write_image_pgm16
 from .rng import RngState
@@ -97,11 +97,8 @@ class RunConfig:
     def validate(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
-        if self.perturbation not in PERTURBATIONS:
-            raise ConfigurationError(
-                f"perturbation must be one of {PERTURBATIONS}"
-            )
-        # Chain settings are re-validated by GsgsConfig at build time.
+        # GsgsConfig holds the rules for the chain settings.
+        self.chain_config()
 
     def chain_config(self, seed=None):
         return GsgsConfig(
@@ -361,8 +358,7 @@ def cmd_diagnose(args):
               "burn_in": burn, "columns": {}}
     max_lag = min(args.max_lag, (rows.shape[0] - burn - 1) // 4)
     for j, name in enumerate(header):
-        # Per-iteration bookkeeping, not draws of the chain.
-        if name in ("t", "alpha_norm", "n_dirs", "skipped", "wall_ms"):
+        if name in BOOKKEEPING_COLUMNS:
             continue
         series = rows[burn:, j]
         entry = {"mean": float(series.mean()), "std": float(series.std())}

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionError
-from .operators import DenseOperator
 
 
 @dataclass
@@ -75,8 +74,6 @@ def cholesky_oracle_sample(q_dense, b, rng, size=None):
     otherwise). With Q = L L^T the draw is m + L^{-T} z for standard normal z.
     ``size=None`` returns one vector; an integer returns a (size, dim) array.
     """
-    if isinstance(q_dense, DenseOperator):
-        q_dense = q_dense.matrix
     q_dense = np.asarray(q_dense, dtype=float)
     n = q_dense.shape[0]
     if q_dense.shape != (n, n):

@@ -27,6 +27,10 @@ PERTURBATIONS = ("none", "iid_normal", "factored_q")
 
 KRYLOV_CAP = 512
 
+# chain.csv's columns that describe an iteration rather than draw from the
+# chain: "t" is written first, the others after the theta columns and J.
+BOOKKEEPING_COLUMNS = ("t", "alpha_norm", "n_dirs", "skipped", "wall_ms")
+
 
 class ThetaModel:
     """Hooks the engine needs from a concrete model.
@@ -229,10 +233,10 @@ class ChainRecord:
         directory.mkdir(parents=True, exist_ok=True)
         n_dirs = self.n_dirs if self.n_dirs is not None else np.zeros(self.n_iterations, np.int64)
         skipped = self.skipped if self.skipped is not None else np.zeros(self.n_iterations, bool)
+        t_column, *step_columns = BOOKKEEPING_COLUMNS
         with open(directory / "chain.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", *self.theta_names, "J", "alpha_norm", "n_dirs", "skipped",
-                             "wall_ms"])
+            writer.writerow([t_column, *self.theta_names, "J", *step_columns])
             for i in range(self.n_iterations):
                 writer.writerow(
                     [
@@ -315,14 +319,18 @@ def gsgs_step(model, state, cfg):
     return state
 
 
-def run_chain(model, x0, cfg):
-    """Run a full chain and return its record. Deterministic given cfg.seed."""
+def run_chain(model, x0, cfg, step=gsgs_step):
+    """Run a full chain and return its record. Deterministic given cfg.seed.
+
+    ``step(model, state, cfg)`` advances the chain by one iteration with
+    `gsgs_step`'s contract; the default is the gradient-scan x-step.
+    """
     x0 = np.array(x0, dtype=float)
     state = ChainState(x=x0, theta=None, t=0, rng=RngState(cfg.seed))
     record = None
     for _ in range(cfg.max_iters):
         tick = time.perf_counter()
-        state = gsgs_step(model, state, cfg)
+        state = step(model, state, cfg)
         wall_ms = (time.perf_counter() - tick) * 1e3
         scalars = model.theta_scalars(state.theta)
         if record is None:

@@ -34,19 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import PrecisionModel
+from .conjugate import PrecisionModel, densify_precision
 from .diagnostics import cholesky_oracle_sample
-from .engine import ChainRecord, ThetaModel, run_chain
-from .errors import DegenerateScaleError, DimensionError
+from .engine import ChainRecord, GsgsConfig, ThetaModel, gsgs_step, run_chain
+from .errors import DegenerateScaleError, DimensionError, GsgsError
 from .operators import (
     CirculantOperator,
     ComposedOperator,
     DecimationOperator,
     DenseOperator,
-    densify,
     make_circulant,
 )
-from .rng import RngState, gamma_draw, standard_normal_vector
+from .rng import gamma_draw, standard_normal_vector
 
 logger = logging.getLogger(__name__)
 
@@ -601,8 +600,6 @@ class SuperResThetaModel(ThetaModel):
     """Engine hooks for the super-resolution posterior: the x-step runs in
     the model's coordinates, and theta is drawn from them."""
 
-    theta_fields = ("gamma_n", "gamma_x")
-
     def __init__(self, model, literal_shapes=False):
         self.model = model
         self.literal_shapes = bool(literal_shapes)
@@ -645,12 +642,13 @@ class SuperResResult:
         return self.record.theta_std("gamma_x")
 
 
-def run_superres(model, cfg, literal_shapes=False, x0=None):
+def run_superres(model, cfg, literal_shapes=False, x0=None, step=gsgs_step):
     """Run the Gibbs chain on a super-resolution model.
 
     Returns the posterior mean and pixelwise standard deviation computed from
     post-burn-in iterates, plus the full chain record. The chain starts at
-    the backprojection of the data unless ``x0`` is given.
+    the backprojection of the data unless ``x0`` is given. ``step`` is the
+    engine's x-step (see `run_chain`): `gsgs_step` or `exact_step`.
     """
     if cfg.perturbation == "none":
         logger.warning(
@@ -659,7 +657,7 @@ def run_superres(model, cfg, literal_shapes=False, x0=None):
         )
     theta_model = SuperResThetaModel(model, literal_shapes=literal_shapes)
     start = model.backprojection() if x0 is None else np.asarray(x0, dtype=float)
-    record = run_chain(theta_model, start, cfg)
+    record = run_chain(theta_model, start, cfg, step=step)
     shape = model.hr_shape
     return SuperResResult(
         posterior_mean=record.mean_x.reshape(shape),
@@ -668,71 +666,47 @@ def run_superres(model, cfg, literal_shapes=False, x0=None):
     )
 
 
-@dataclass
-class ReferenceResult:
-    """Hyperparameter chains from the exact-Gibbs reference sampler."""
+def exact_step(model, state, cfg):
+    """`gsgs_step` with the whole image redrawn exactly from N(m, Q^{-1}).
 
-    gamma_n_chain: np.ndarray
-    gamma_x_chain: np.ndarray
-    burn_in: int
+    Theta is drawn as in `gsgs_step`; the x update is made the way the
+    precision allows:
 
-    def _post(self, chain):
-        return chain[self.burn_in :]
+    - `SpectralPrecision`: x = Q^{-1} (b + eps) with eps ~ N(0, Q), in alias
+      coordinates, where Q is block-diagonal and the solve is exact
+      (`AliasPrecision.solve`), then decoded;
+    - `GramPrecision`: Cholesky of its matrix;
+    - a factored `PrecisionModel`: Cholesky of the densified Q.
 
-    @property
-    def gamma_n_mean(self):
-        return float(self._post(self.gamma_n_chain).mean())
+    ``cfg.n_dirs`` and ``cfg.perturbation`` are ignored. The step records J
+    as `gsgs_step` does, ``alpha_norm`` and ``n_dirs`` 0 (not observed) and
+    ``skipped`` False.
+    """
+    rng = state.rng
+    u = model.encode(state.x)
+    theta = model.sample_theta(state.x, rng, u)
+    precision = model.precision_at(theta)
+    coords = precision.coordinates
+    potential = 0.5 * (u @ coords.gradient(u) - u @ coords.b)
+    if isinstance(precision, SpectralPrecision):
+        x_new = precision.decode(coords.solve(coords.b + coords.draw_noise(rng)))
+    else:
+        matrix = (precision.matrix if isinstance(precision, GramPrecision)
+                  else densify_precision(precision))
+        x_new = cholesky_oracle_sample(matrix, precision.b, rng)
+    if not np.isfinite(x_new).all():
+        raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
 
-    @property
-    def gamma_x_mean(self):
-        return float(self._post(self.gamma_x_chain).mean())
-
-    @property
-    def gamma_n_std(self):
-        return float(self._post(self.gamma_n_chain).std())
-
-    @property
-    def gamma_x_std(self):
-        return float(self._post(self.gamma_x_chain).std())
+    state.x = x_new
+    state.theta = theta
+    state.t += 1
+    state.last_step = {"potential": potential, "alpha_norm": 0.0, "n_dirs": 0,
+                       "skipped": False}
+    return state
 
 
 def exact_gibbs_reference(model, n_iters, burn_in, seed):
-    """Reference sampler that redraws the full image exactly each iteration.
-
-    Uses the same Gamma conditionals as the main chain but replaces the
-    directional excursion with an exact draw from N(m, Q^{-1}), made the way
-    the model's precision allows:
-
-    - spectral models (``model.spectra`` set): x = Q^{-1} (b + eps) with
-      eps ~ N(0, Q), in alias coordinates, where Q is block-diagonal and the
-      solve is exact (`AliasPrecision.solve`). The chain stays in those
-      coordinates and draws theta from them; it never decodes x;
-    - any other model: Cholesky of the dense Q, formed from the model's
-      ``grams`` (or from densified operators), each iteration.
-    """
-    if not 0 <= burn_in < n_iters:
-        raise ValueError(f"burn_in must satisfy 0 <= burn_in < n_iters, got "
-                         f"{burn_in} / {n_iters}")
-    if model.spectra is None:
-        gram_fwd, gram_pen = model.grams or [
-            m.T @ m for m in (densify(op).matrix for op in (model.forward, model.penalty))]
-
-    rng = RngState(seed)
-    u = model.encode(model.backprojection())
-    gamma_n_chain = np.empty(n_iters)
-    gamma_x_chain = np.empty(n_iters)
-    for t in range(n_iters):
-        hp = sample_hyperparams(model, None, rng, u=u)
-        gamma_n_chain[t] = hp.gamma_n
-        gamma_x_chain[t] = hp.gamma_x
-        if model.spectra is None:
-            q_dense = hp.gamma_n * gram_fwd + hp.gamma_x * gram_pen
-            u = cholesky_oracle_sample(q_dense, hp.gamma_n * model._forward_t_data, rng)
-        else:
-            q = build_precision(model, hp).coordinates
-            u = q.solve(q.b + q.draw_noise(rng))
-    return ReferenceResult(
-        gamma_n_chain=gamma_n_chain,
-        gamma_x_chain=gamma_x_chain,
-        burn_in=burn_in,
-    )
+    """Reference chain that redraws the full image exactly each iteration:
+    `run_superres` with `exact_step`, from the backprojection."""
+    cfg = GsgsConfig(n_dirs=1, max_iters=n_iters, burn_in=burn_in, seed=seed)
+    return run_superres(model, cfg, step=exact_step)

@@ -158,6 +158,18 @@ def test_run_rejects_data_settings_in_config_file(tmp_path, capsys):
     assert "offsets" in err and "gamma_n_true" in err and "seed" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--n-dirs", "0"), ("--burn-in", "500")])
+def test_run_rejects_bad_chain_settings_before_writing(tmp_path, capsys, flag, value):
+    # A usage error, raised before the output directory exists: SMALL runs
+    # 120 iterations, so a burn-in of 500 leaves no sample.
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--data-dir", sim, "-o", out, *SMALL, flag, value) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_records_the_data_directory_settings(tmp_path):
     sim, out = tmp_path / "sim", tmp_path / "run"
     assert run_cli("simulate", "-o", sim, "--seed", "5", "--blur-width", "3",

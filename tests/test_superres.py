@@ -11,6 +11,7 @@ from gsgs import (
     FixedGaussianModel,
     GsgsConfig,
     RngState,
+    cholesky_oracle_sample,
     densify,
     gamma_draw,
     gsgs_step,
@@ -19,7 +20,7 @@ from gsgs import (
     simulate_data,
 )
 from gsgs.conjugate import PrecisionModel, densify_precision
-from gsgs.operators import DecimationOperator, make_circulant
+from gsgs.operators import DecimationOperator, DenseOperator, make_circulant
 from gsgs.superres import (
     GramPrecision,
     Hyperparams,
@@ -28,6 +29,7 @@ from gsgs.superres import (
     SuperResThetaModel,
     build_precision,
     exact_gibbs_reference,
+    exact_step,
     run_superres,
     sample_hyperparams,
 )
@@ -463,6 +465,39 @@ def test_spectral_reference_agrees_with_cholesky():
     for a, b in ((spec.gamma_n_mean, chol.gamma_n_mean),
                  (spec.gamma_x_mean, chol.gamma_x_mean)):
         assert abs(a - b) / abs(b) < 0.15
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_exact_step_is_the_explicit_draw(dense):
+    # One step from one state and one stream: the theta draw, then the
+    # block solve (spectral) or the Cholesky draw (dense), bit for bit.
+    model = small_model(seed=26, dense=dense)
+    x0 = model.backprojection()
+    state = ChainState(x=x0.copy(), theta=None, t=0, rng=RngState(27))
+    state = exact_step(SuperResThetaModel(model), state, GsgsConfig(n_dirs=1, max_iters=1))
+
+    rng = RngState(27)
+    hp = sample_hyperparams(model, x0, rng)
+    precision = build_precision(model, hp)
+    if dense:
+        want = cholesky_oracle_sample(precision.matrix, precision.b, rng)
+    else:
+        q = precision.coordinates
+        want = precision.decode(q.solve(q.b + q.draw_noise(rng)))
+    np.testing.assert_array_equal(state.x, want)
+    assert state.theta == hp and state.t == 1
+    assert state.last_step["n_dirs"] == 0 and state.last_step["skipped"] is False
+
+
+def test_exact_step_densifies_a_factored_precision():
+    rng = np.random.default_rng(5)
+    factor = DenseOperator(rng.standard_normal((7, 5)))
+    precision = PrecisionModel(5, [(factor, 1.3)], rng.standard_normal(5))
+    state = ChainState(x=np.zeros(5), theta=None, t=0, rng=RngState(8))
+    state = exact_step(FixedGaussianModel(precision), state,
+                       GsgsConfig(n_dirs=1, max_iters=1))
+    want = cholesky_oracle_sample(densify_precision(precision), precision.b, RngState(8))
+    np.testing.assert_array_equal(state.x, want)
 
 
 @pytest.mark.parametrize("burn_in", [-3, 10])
