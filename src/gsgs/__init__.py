@@ -28,6 +28,7 @@ from .engine import (
     FixedGaussianModel,
     GsgsConfig,
     ThetaModel,
+    exact_step,
     gsgs_step,
     krylov_rank_diagnostic,
     run_chain,
@@ -61,7 +62,6 @@ from .superres import (
     SuperResThetaModel,
     build_precision,
     exact_gibbs_reference,
-    exact_step,
     geometry_operators,
     phantom,
     run_superres,

@@ -97,7 +97,9 @@ class RunConfig:
     def validate(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
-        # GsgsConfig holds the rules for the chain settings.
+        # geometry_operators and GsgsConfig hold the rules for the geometry
+        # and the chain settings.
+        geometry_operators((self.rows, self.cols), self.factor, self.offsets, self.blur_width)
         self.chain_config()
 
     def chain_config(self, seed=None):
@@ -302,15 +304,14 @@ def _print_estimate_table(reports):
 
 
 def cmd_run(args):
+    chains = args.chains
+    if chains < 1:
+        raise ConfigurationError(f"chains must be >= 1, got {chains}")
     cfg = RunConfig.resolve(args, data_keys=DATA_KEYS)
     # Record the settings the run actually uses.
     cfg = replace(cfg, **_data_settings(cfg))
+    cfg.validate()
     out = _ensure_writable(cfg.output_dir)
-    if cfg.perturbation == "none":
-        print("warning: perturbation disabled; chain convergence is not "
-              "guaranteed and the posterior spread is typically "
-              "underestimated", file=sys.stderr)
-    chains = max(1, args.chains)
     if chains == 1:
         reports = [_single_run(cfg, cfg.seed, out)]
     else:

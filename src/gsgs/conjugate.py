@@ -1,15 +1,16 @@
 """Conjugate direction sets and exact Gaussian sampling along them.
 
-A precision is any object with ``dim``, ``b`` (= Q m), ``apply`` (Q x),
-``gradient`` (Q x - b) and ``draw_noise`` (one N(0, Q) draw), all on pixel
-vectors, plus the coordinates the engine's x-step runs in: ``encode`` and
-``decode``, an orthogonal change to those coordinates and back, and
-``coordinates``, the same precision there, whose ``dim``, ``b``, ``apply``,
-``gradient`` and ``draw_noise`` act on coordinate vectors. Coordinates may
-differ from the pixels and hold more values than there are pixels: the
-spectral super-resolution precision runs in Fourier alias coordinates, where
-its product needs no FFT. `PrecisionModel`, the generic precision in factored
-form, runs in the pixels.
+A precision has two faces. Its pixel face is ``dim``, ``b`` (= Q m) and
+``apply`` (Q x) on pixel vectors, plus ``encode`` and ``decode``, an
+orthogonal change to the coordinates the engine's x-step runs in and back,
+and ``coordinates``, the same precision there. That coordinate face is
+``dim``, ``b``, ``apply``, ``gradient`` (Q u - b), ``draw_noise`` (one
+N(0, Q) draw) and ``sample`` (one exact N(m, Q^{-1}) draw), all on
+coordinate vectors. Coordinates may differ from the pixels and hold more
+values than there are pixels: the spectral super-resolution precision runs
+in Fourier alias coordinates, where its product needs no FFT.
+`PrecisionModel`, the generic precision in factored form, runs in the
+pixels, so it is its own coordinate face.
 
 `build_conjugate_set` grows, in whatever coordinates its precision works in,
 a set of directions that are mutually conjugate with respect to Q (a
@@ -28,6 +29,7 @@ from math import sqrt
 
 import numpy as np
 
+from .diagnostics import cholesky_oracle_sample
 from .errors import (
     DegenerateDirectionError,
     DimensionError,
@@ -126,6 +128,10 @@ class PrecisionModel:
             t = op.adjoint_apply(z)
             out = t if out is None else out + t
         return out
+
+    def sample(self, rng):
+        """One exact draw from N(m, Q^{-1}): Cholesky of the densified Q."""
+        return cholesky_oracle_sample(densify_precision(self), self.b, rng)
 
 
 def densify_precision(precision, max_entries=DENSIFY_CAP):

@@ -263,20 +263,15 @@ def _draw_perturbation(model, theta, precision, state, cfg):
     return model.perturbation_at(theta, state.rng, precision=precision.coordinates)
 
 
-def gsgs_step(model, state, cfg):
-    """Advance the chain by one iteration, in place, and return it.
+def _gibbs_step(model, state, cfg, move):
+    """One Gibbs iteration, in place: the frame both x-steps share.
 
-    Order of operations: x encoded into the coordinates of the model's
-    precisions (``model.encode``, see `gsgs.conjugate`), theta draw from x
-    and those coordinates, gradient at the current x, optional gradient
-    perturbation, conjugate set seeded by the perturbed gradient, exact
-    coefficient draws, x update. Everything from the gradient to the x
-    update runs in those coordinates: x is encoded once and the new point
-    decoded once, and the direction count is capped by the pixel count. A
-    zero seed direction (gradient and perturbation both zero, i.e. x sits
-    exactly at the conditional mean) skips the x update for this iteration
-    rather than failing: it has probability zero under continuous theta
-    draws.
+    x is encoded into the coordinates of the model's precisions
+    (``model.encode``, see `gsgs.conjugate`), theta drawn from x and those
+    coordinates, and the gradient and J taken there under theta's
+    precision. ``move(model, theta, precision, u, gradient, state, cfg)``
+    returns the new coordinates (None keeps x) and its ``last_step``
+    scalars; the new point is decoded once and checked finite.
     """
     rng = state.rng
     u = model.encode(state.x)
@@ -284,46 +279,63 @@ def gsgs_step(model, state, cfg):
     precision = model.precision_at(theta)
     coords = precision.coordinates
     gradient = coords.gradient(u)
-    eps = _draw_perturbation(model, theta, precision, state, cfg)
-    d1 = gradient if eps is None else gradient + eps
-
     potential = 0.5 * (u @ gradient - u @ coords.b)
-
-    if not d1.any():
-        logger.warning("zero seed direction at iteration %d; skipping x update", state.t + 1)
-        state.theta = theta
-        state.t += 1
-        state.last_step = {
-            "potential": potential,
-            "alpha_norm": 0.0,
-            "n_dirs": 0,
-            "skipped": True,
-        }
-        return state
-
-    cset = build_conjugate_set(coords, d1, min(cfg.n_dirs, precision.dim))
-    u_new, alphas = sample_along(coords, cset, u, rng, gradient=gradient)
-    x_new = precision.decode(u_new)
-    if not np.isfinite(x_new).all():
-        raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
-
-    state.x = x_new
+    u_new, scalars = move(model, theta, precision, u, gradient, state, cfg)
+    if u_new is not None:
+        x_new = precision.decode(u_new)
+        if not np.isfinite(x_new).all():
+            raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
+        state.x = x_new
     state.theta = theta
     state.t += 1
-    state.last_step = {
-        "potential": potential,
-        "alpha_norm": sqrt(alphas @ alphas),
-        "n_dirs": len(cset),
-        "skipped": False,
-    }
+    state.last_step = {"potential": potential, **scalars}
     return state
+
+
+def _directional_move(model, theta, precision, u, gradient, state, cfg):
+    eps = _draw_perturbation(model, theta, precision, state, cfg)
+    d1 = gradient if eps is None else gradient + eps
+    if not d1.any():
+        logger.warning("zero seed direction at iteration %d; skipping x update", state.t + 1)
+        return None, {"alpha_norm": 0.0, "n_dirs": 0, "skipped": True}
+    coords = precision.coordinates
+    cset = build_conjugate_set(coords, d1, min(cfg.n_dirs, precision.dim))
+    u_new, alphas = sample_along(coords, cset, u, state.rng, gradient=gradient)
+    return u_new, {"alpha_norm": sqrt(alphas @ alphas), "n_dirs": len(cset), "skipped": False}
+
+
+def _exact_move(model, theta, precision, u, gradient, state, cfg):
+    return precision.coordinates.sample(state.rng), {"alpha_norm": 0.0, "n_dirs": 0,
+                                                     "skipped": False}
+
+
+def gsgs_step(model, state, cfg):
+    """One gradient-scan iteration, in place; returns the state.
+
+    The x-move (`_gibbs_step` makes the rest): optional gradient
+    perturbation, a conjugate set seeded by the perturbed gradient, exact
+    coefficient draws along it; the direction count is capped by the pixel
+    count. A zero seed direction (x exactly at the conditional mean) skips
+    the x update rather than failing: it has probability zero under
+    continuous theta draws.
+    """
+    return _gibbs_step(model, state, cfg, _directional_move)
+
+
+def exact_step(model, state, cfg):
+    """One exact-Gibbs iteration, in place: `gsgs_step`'s frame with the
+    whole image redrawn from N(m, Q^{-1}) by the precision's own
+    ``coordinates.sample``. ``cfg.n_dirs`` and ``cfg.perturbation`` are
+    ignored; ``alpha_norm`` and ``n_dirs`` record 0 and ``skipped`` False.
+    """
+    return _gibbs_step(model, state, cfg, _exact_move)
 
 
 def run_chain(model, x0, cfg, step=gsgs_step):
     """Run a full chain and return its record. Deterministic given cfg.seed.
 
     ``step(model, state, cfg)`` advances the chain by one iteration with
-    `gsgs_step`'s contract; the default is the gradient-scan x-step.
+    `gsgs_step`'s contract: `gsgs_step`, the default, or `exact_step`.
     """
     x0 = np.array(x0, dtype=float)
     state = ChainState(x=x0, theta=None, t=0, rng=RngState(cfg.seed))
@@ -345,12 +357,9 @@ def run_chain(model, x0, cfg, step=gsgs_step):
         record.observe(
             t=state.t,
             theta_values=[scalars[k] for k in record.theta_names],
-            potential=state.last_step["potential"],
-            alpha_norm=state.last_step["alpha_norm"],
             wall_ms=wall_ms,
             x=state.x,
-            n_dirs=state.last_step["n_dirs"],
-            skipped=state.last_step["skipped"],
+            **state.last_step,
         )
     return record
 

@@ -19,12 +19,11 @@ the f^2 frequencies that alias onto one low-resolution frequency.
 runs in its alias coordinates: encoding x and decoding the new point cost one
 FFT each, a Q-apply there (`AliasPrecision`) costs none and an N(0, Q) draw
 costs 2, in one batched call. The theta draw reads both norms off the same
-encode (`SuperResModel.theta_norms`), so a chain iteration takes 4 FFTs. Its
-pixel-space Q-apply costs 2 FFTs and its pixel-space N(0, Q) draw 3. When
-forward and penalty are matrices (dense blur and decimation are multiplied
-into one forward matrix), the model keeps F^T F and P^T P and `GramPrecision`
-applies Q as one matrix. Any other operators get the factored
-`PrecisionModel`; both of these run in the pixels.
+encode (`SuperResModel.theta_norms`), so a chain iteration takes 4 FFTs; a
+pixel-space Q-apply takes 2. When forward and penalty are matrices (dense
+blur and decimation are multiplied into one forward matrix), the model keeps
+F^T F and P^T P and `GramPrecision` applies Q as one matrix. Any other
+operators get the factored `PrecisionModel`; both of these run in the pixels.
 """
 
 import functools
@@ -34,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import PrecisionModel, densify_precision
+from .conjugate import PrecisionModel
 from .diagnostics import cholesky_oracle_sample
-from .engine import ChainRecord, GsgsConfig, ThetaModel, gsgs_step, run_chain
-from .errors import DegenerateScaleError, DimensionError, GsgsError
+from .engine import ChainRecord, GsgsConfig, ThetaModel, exact_step, gsgs_step, run_chain
+from .errors import ConfigurationError, DegenerateScaleError, DimensionError
 from .operators import (
     CirculantOperator,
     ComposedOperator,
@@ -337,9 +336,8 @@ class SpectralPrecision:
     The x-step runs in the alias coordinates of `GridSpectra`: ``encode`` and
     ``decode`` change to and from them (one FFT each), and ``coordinates`` is
     this precision there, an `AliasPrecision` whose Q-apply takes no FFT.
-    ``apply`` is the pixel-space product decode(Q encode(x)), 2 FFTs, and
-    ``draw_noise`` a pixel-space N(0, Q) draw in 3 (2 of them batched).
-    ``b`` = Q m is passed in, as for `PrecisionModel`, whose interface this
+    ``apply`` is the pixel-space product decode(Q encode(x)), 2 FFTs.
+    ``b`` = Q m is passed in, as for `PrecisionModel`, whose pixel face this
     shares, together with b's coordinates ``b_coords``.
     """
 
@@ -348,7 +346,6 @@ class SpectralPrecision:
         self.dim = spectra.shape[0] * spectra.shape[1]
         self.b = b
         self.coordinates = AliasPrecision(spectra, gamma_n, gamma_x, b_coords)
-        self.prior_spectrum = self.coordinates.prior_spectrum
         self.encode = spectra.encode
         self.decode = spectra.decode
 
@@ -357,14 +354,6 @@ class SpectralPrecision:
         if x.shape != (self.dim,):
             raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
         return self.decode(self.coordinates.apply(self.encode(x)))
-
-    def gradient(self, x):
-        """Gradient of the quadratic potential: Q x - b = Q (x - m)."""
-        return self.apply(x) - self.b
-
-    def draw_noise(self, rng):
-        """One draw from N(0, Q), 3 FFTs: `AliasPrecision.draw_noise`, decoded."""
-        return self.decode(self.coordinates.draw_noise(rng))
 
 
 class AliasPrecision:
@@ -446,6 +435,10 @@ class AliasPrecision:
             out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * halves[1]
         return spectra.to_coords(out)
 
+    def sample(self, rng):
+        """One exact draw from N(m, Q^{-1}): Q^{-1} (b + eps), eps ~ N(0, Q)."""
+        return self.solve(self.b + self.draw_noise(rng))
+
 
 class GramPrecision(PrecisionModel):
     """A factored precision that also holds Q as one matrix.
@@ -464,6 +457,10 @@ class GramPrecision(PrecisionModel):
         if x.shape != (self.dim,):
             raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
         return self.matrix @ x
+
+    def sample(self, rng):
+        """One exact draw from N(m, Q^{-1}): Cholesky of ``matrix``."""
+        return cholesky_oracle_sample(self.matrix, self.b, rng)
 
 
 def phantom(shape):
@@ -492,6 +489,8 @@ def geometry_operators(shape, factor, offsets, blur_width):
     frame per offset.
     """
     blur_width = int(blur_width)
+    if blur_width < 1:
+        raise ConfigurationError(f"blur_width must be >= 1, got {blur_width}")
     if shape[0] == 1:
         blur = make_circulant(shape, np.full((1, blur_width), 1.0 / blur_width))
         penalty = make_circulant(shape, [[-1.0, 2.0, -1.0]])
@@ -664,45 +663,6 @@ def run_superres(model, cfg, literal_shapes=False, x0=None, step=gsgs_step):
         posterior_std=record.std_x.reshape(shape),
         record=record,
     )
-
-
-def exact_step(model, state, cfg):
-    """`gsgs_step` with the whole image redrawn exactly from N(m, Q^{-1}).
-
-    Theta is drawn as in `gsgs_step`; the x update is made the way the
-    precision allows:
-
-    - `SpectralPrecision`: x = Q^{-1} (b + eps) with eps ~ N(0, Q), in alias
-      coordinates, where Q is block-diagonal and the solve is exact
-      (`AliasPrecision.solve`), then decoded;
-    - `GramPrecision`: Cholesky of its matrix;
-    - a factored `PrecisionModel`: Cholesky of the densified Q.
-
-    ``cfg.n_dirs`` and ``cfg.perturbation`` are ignored. The step records J
-    as `gsgs_step` does, ``alpha_norm`` and ``n_dirs`` 0 (not observed) and
-    ``skipped`` False.
-    """
-    rng = state.rng
-    u = model.encode(state.x)
-    theta = model.sample_theta(state.x, rng, u)
-    precision = model.precision_at(theta)
-    coords = precision.coordinates
-    potential = 0.5 * (u @ coords.gradient(u) - u @ coords.b)
-    if isinstance(precision, SpectralPrecision):
-        x_new = precision.decode(coords.solve(coords.b + coords.draw_noise(rng)))
-    else:
-        matrix = (precision.matrix if isinstance(precision, GramPrecision)
-                  else densify_precision(precision))
-        x_new = cholesky_oracle_sample(matrix, precision.b, rng)
-    if not np.isfinite(x_new).all():
-        raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
-
-    state.x = x_new
-    state.theta = theta
-    state.t += 1
-    state.last_step = {"potential": potential, "alpha_norm": 0.0, "n_dirs": 0,
-                       "skipped": False}
-    return state
 
 
 def exact_gibbs_reference(model, n_iters, burn_in, seed):

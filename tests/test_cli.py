@@ -1,6 +1,7 @@
 """Command-line interface: file outputs, exit codes, reproducibility."""
 
 import json
+import logging
 import time
 
 import numpy as np
@@ -170,6 +171,24 @@ def test_run_rejects_bad_chain_settings_before_writing(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_simulate_rejects_bad_blur_width_before_writing(tmp_path, capsys, width):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "-o", out, *GRID, "--blur-width", width) == 2
+    assert "blur_width" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("chains", ["0", "-1"])
+def test_run_rejects_bad_chain_count_before_writing(tmp_path, capsys, chains):
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--data-dir", sim, "-o", out, *SMALL, "--chains", chains) == 2
+    assert "chains" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_records_the_data_directory_settings(tmp_path):
     sim, out = tmp_path / "sim", tmp_path / "run"
     assert run_cli("simulate", "-o", sim, "--seed", "5", "--blur-width", "3",
@@ -220,12 +239,15 @@ def test_run_is_seed_deterministic(tmp_path):
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
-def test_run_warns_without_perturbation(tmp_path, capsys):
+def test_run_warns_without_perturbation(tmp_path, capsys, caplog):
+    # The library's warning, once per chain; the CLI prints no second copy.
     sim, out = tmp_path / "sim", tmp_path / "run"
     assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
-    assert run_cli("run", "--data-dir", sim, "-o", out, "--perturbation", "none",
-                   "--seed", "5", *SMALL) == 0
-    assert "convergence is not guaranteed" in capsys.readouterr().err
+    with caplog.at_level(logging.WARNING, logger="gsgs.superres"):
+        assert run_cli("run", "--data-dir", sim, "-o", out, "--perturbation", "none",
+                       "--seed", "5", *SMALL) == 0
+    assert "convergence is not guaranteed" in caplog.text
+    assert "convergence is not guaranteed" not in capsys.readouterr().err
 
 
 def test_run_literal_shapes_flag_is_recorded_and_active(tmp_path):

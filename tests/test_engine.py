@@ -15,6 +15,7 @@ from gsgs import (
     IdentityOperator,
     RngState,
     SizeCapError,
+    exact_step,
     gsgs_step,
     krylov_rank_diagnostic,
     read_image_f64,
@@ -304,9 +305,11 @@ def test_unperturbed_chain_keeps_exploring_all_coordinates():
     assert (variances > 0.5 / q_diag).all()
 
 
-def test_full_sweep_iterates_are_exact_draws():
-    # With a full direction set (distinct spectrum), every iterate is an
-    # exact draw from the target, independent of the previous point.
+@pytest.mark.parametrize("step", [gsgs_step, exact_step], ids=lambda step: step.__name__)
+def test_full_sweep_iterates_are_exact_draws(step):
+    # With a full direction set (distinct spectrum), or with the exact
+    # x-step, every iterate is an exact draw from the target, independent of
+    # the previous point.
     n = 3
     model, q = spd_precision(n, 12)
     mean = np.linalg.solve(q, model.b)
@@ -315,7 +318,7 @@ def test_full_sweep_iterates_are_exact_draws():
     fixed = FixedGaussianModel(model)
     xs = np.empty((3 * 10**4, n))
     for i in range(xs.shape[0]):
-        state = gsgs_step(fixed, state, cfg)
+        state = step(fixed, state, cfg)
         xs[i] = state.x
     lag1 = [np.corrcoef(xs[:-1, j], xs[1:, j])[0, 1] for j in range(n)]
     assert np.abs(lag1).max() < 0.025

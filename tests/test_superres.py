@@ -50,6 +50,11 @@ def small_model(shape=(8, 8), frames=((0, 0), (1, 1)), noise=1.0, seed=0,
     )
 
 
+def pixel_noise(precision, rng):
+    """One N(0, Q) draw in pixels: the coordinates' draw, decoded."""
+    return precision.decode(precision.coordinates.draw_noise(rng))
+
+
 def test_simulate_noise_free_is_exact_forward():
     rng = RngState(1)
     truth = phantom((8, 8))
@@ -84,7 +89,7 @@ def test_build_precision_single_factor_when_prior_off():
     model = small_model(seed=4)
     precision = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=0.0))
     # The spectral form keeps no prior term when gamma_x is zero.
-    assert precision.prior_spectrum is None
+    assert precision.coordinates.prior_spectrum is None
     x = RngState(5).generator.standard_normal(model.n_pixels)
     expected = model.forward.adjoint_apply(model.forward.apply(x))
     np.testing.assert_allclose(precision.apply(x), expected, atol=1e-12)
@@ -229,7 +234,8 @@ def test_gradient_at_zero_is_negative_backprojection():
     model = small_model(seed=7)
     hp = Hyperparams(gamma_n=1.3, gamma_x=0.4)
     precision = build_precision(model, hp)
-    grad = precision.gradient(np.zeros(model.n_pixels))
+    zero = precision.encode(np.zeros(model.n_pixels))
+    grad = precision.decode(precision.coordinates.gradient(zero))
     np.testing.assert_allclose(
         grad, -hp.gamma_n * model.forward.adjoint_apply(model.data), atol=1e-12
     )
@@ -292,7 +298,7 @@ def test_po_perturbation_identity_forward_variance():
     )
     rng = RngState(13)
     precision = build_precision(model, Hyperparams(4.0, 0.0))
-    draws = np.array([precision.draw_noise(rng) for _ in range(3 * 10**4)])
+    draws = np.array([pixel_noise(precision, rng) for _ in range(3 * 10**4)])
     assert np.abs(draws.var(axis=0) - 4.0).max() < 0.2
 
 
@@ -316,7 +322,7 @@ def test_spectral_noise_covariance_matches_precision():
     assert isinstance(precision, SpectralPrecision)
     target = densify_precision(precision)
     rng = RngState(15)
-    draws = np.array([precision.draw_noise(rng) for _ in range(10**5)])
+    draws = np.array([pixel_noise(precision, rng) for _ in range(10**5)])
     cov = np.cov(draws, rowvar=False)
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
 
@@ -324,8 +330,8 @@ def test_spectral_noise_covariance_matches_precision():
 def test_po_perturbation_deterministic_under_seed():
     model = small_model(seed=16)
     precision = build_precision(model, Hyperparams(1.0, 1.0))
-    a = precision.draw_noise(RngState(17))
-    b = precision.draw_noise(RngState(17))
+    a = pixel_noise(precision, RngState(17))
+    b = pixel_noise(precision, RngState(17))
     np.testing.assert_array_equal(a, b)
 
 
