@@ -279,7 +279,7 @@ def _gibbs_step(model, state, cfg, move):
     precision = model.precision_at(theta)
     coords = precision.coordinates
     gradient = coords.gradient(u)
-    potential = 0.5 * (u @ gradient - u @ coords.b)
+    potential = 0.5 * (u.dot(gradient) - u.dot(coords.b))
     u_new, scalars = move(model, theta, precision, u, gradient, state, cfg)
     if u_new is not None:
         x_new = precision.decode(u_new)
@@ -301,7 +301,7 @@ def _directional_move(model, theta, precision, u, gradient, state, cfg):
     coords = precision.coordinates
     cset = build_conjugate_set(coords, d1, min(cfg.n_dirs, precision.dim))
     u_new, alphas = sample_along(coords, cset, u, state.rng, gradient=gradient)
-    return u_new, {"alpha_norm": sqrt(alphas @ alphas), "n_dirs": len(cset), "skipped": False}
+    return u_new, {"alpha_norm": sqrt(alphas.dot(alphas)), "n_dirs": len(cset), "skipped": False}
 
 
 def _exact_move(model, theta, precision, u, gradient, state, cfg):

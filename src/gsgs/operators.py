@@ -65,11 +65,11 @@ class DenseOperator(LinearOperator):
 
     def apply(self, x):
         self._check_in(x)
-        return self.matrix @ x
+        return self.matrix.dot(x)
 
     def adjoint_apply(self, y):
         self._check_out(y)
-        return self.matrix.T @ y
+        return self.matrix.T.dot(y)
 
 
 class CirculantOperator(LinearOperator):

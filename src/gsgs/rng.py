@@ -7,6 +7,8 @@ the parent, which keeps parallel diagnostics from perturbing chain
 reproducibility.
 """
 
+import math
+
 import numpy as np
 
 
@@ -47,8 +49,8 @@ def gamma_draw(rng, shape, scale):
     conditionals: a conditional written as G(a; b) is drawn with shape=a and
     scale=b, so its mean is a*b.
     """
-    if not (shape > 0 and np.isfinite(shape)):
+    if not (shape > 0 and math.isfinite(shape)):
         raise ValueError(f"gamma shape must be positive and finite, got {shape}")
-    if not (scale > 0 and np.isfinite(scale)):
+    if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"gamma scale must be positive and finite, got {scale}")
     return float(rng.generator.gamma(shape, scale))

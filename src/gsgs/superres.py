@@ -157,7 +157,7 @@ class SuperResModel:
         """(|data - forward x|^2, |penalty x|^2), taken on the image x."""
         residual = self.data - self.forward.apply(x)
         rough = self.penalty.apply(x)
-        return float(residual @ residual), float(rough @ rough)
+        return float(residual.dot(residual)), float(rough.dot(rough))
 
     def theta_norms(self, u, x=None):
         """`pixel_norms` of the image x whose coordinates are u = encode(x).
@@ -178,7 +178,7 @@ class SuperResModel:
                                  classes.real**2 + classes.imag**2))
         blurred = spectra.coord_blur * classes
         fit_ss = float(np.vdot(blurred, spectra.coupling @ blurred).real)
-        cross = 2.0 * float(u @ self._forward_t_data_coords)
+        cross = 2.0 * float(u.dot(self._forward_t_data_coords))
         noise_ss = self._data_ss - cross + fit_ss
         if noise_ss >= RESIDUAL_CANCEL_TOL * (self._data_ss + abs(cross) + fit_ss):
             return noise_ss, rough_ss
@@ -456,7 +456,7 @@ class GramPrecision(PrecisionModel):
         """Q x."""
         if x.shape != (self.dim,):
             raise DimensionError(f"expected input of shape ({self.dim},), got {x.shape}")
-        return self.matrix @ x
+        return self.matrix.dot(x)
 
     def sample(self, rng):
         """One exact draw from N(m, Q^{-1}): Cholesky of ``matrix``."""

@@ -348,6 +348,28 @@ def test_build_allocates_one_store():
     assert peak <= (2 * n_dirs + BLOCK) * row
 
 
+@pytest.mark.parametrize("n_dirs, early_stop", [(1, False), (BLOCK, False), (80, False),
+                                              (72, True)])
+def test_build_leaves_its_seed_unchanged(n_dirs, early_stop):
+    # The rows are written in place in the build's store; the seed must not
+    # be one of them. An unperturbed gsgs_step seeds the build with the
+    # gradient array itself and reads it again in sample_along.
+    if early_stop:
+        # K(Q, d1) has dimension 36 here: the build stops in its second block.
+        eigs = np.repeat(np.linspace(1.0, 4.0, 36), 2)
+        precision = PrecisionModel(72, [(DenseOperator(np.diag(np.sqrt(eigs))), 1.0)],
+                                   np.zeros(72))
+        d1 = np.zeros(72)
+        d1[::2] = np.random.default_rng(48).uniform(0.5, 1.5, 36)
+    else:
+        precision = desk_coordinates(1.0)
+        d1 = np.random.default_rng(55).standard_normal(precision.dim)
+    before = d1.tobytes()
+    cset = build_conjugate_set(precision, d1, n_dirs)
+    assert len(cset) == (36 if early_stop else n_dirs)
+    assert d1.tobytes() == before
+
+
 def test_directions_span_the_krylov_space():
     n, k = 40, 12
     model, _, _ = random_spd_precision(n, 43)

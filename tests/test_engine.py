@@ -21,6 +21,7 @@ from gsgs import (
     read_image_f64,
     run_chain,
 )
+from gsgs import engine
 from gsgs.conjugate import PrecisionModel
 from gsgs.engine import ChainState
 
@@ -92,6 +93,27 @@ def test_zero_seed_direction_skips_update(caplog):
     np.testing.assert_array_equal(state.x, b)
     assert state.last_step["skipped"]
     assert any("zero seed direction" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("n_dirs", [3, 40])
+def test_unperturbed_step_matches_one_seeded_by_a_copy(monkeypatch, n_dirs):
+    # Without a perturbation the build's seed is the gradient array itself,
+    # which sample_along reads afterwards; the build must leave it as it was.
+    precision, _ = spd_precision(40, 12)
+    model = FixedGaussianModel(precision)
+    cfg = GsgsConfig(n_dirs=n_dirs, max_iters=1, perturbation="none")
+    x0 = np.random.default_rng(13).standard_normal(40)
+
+    def step():
+        return gsgs_step(model, ChainState(x=x0.copy(), theta=None, t=0, rng=RngState(14)), cfg)
+
+    own = step()
+    build = engine.build_conjugate_set
+    monkeypatch.setattr(engine, "build_conjugate_set",
+                        lambda coords, d1, k: build(coords, d1.copy(), k))
+    copied = step()
+    assert own.x.tobytes() == copied.x.tobytes()
+    assert own.last_step == copied.last_step
 
 
 def test_chain_record_keeps_skipped_steps(tmp_path):
