@@ -30,7 +30,6 @@ from .engine import (
     ThetaModel,
     exact_step,
     gsgs_step,
-    krylov_rank_diagnostic,
     run_chain,
 )
 from .errors import (

@@ -73,10 +73,24 @@ class RunConfig:
         given = set()
         if getattr(args, "config", None):
             with open(args.config) as fh:
-                loaded = json.load(fh)
+                try:
+                    loaded = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigurationError(
+                        f"config file {args.config} is not valid JSON: {exc}") from exc
+            if not isinstance(loaded, dict):
+                raise ConfigurationError(
+                    f"config file {args.config} must hold a JSON object of settings")
             unknown = set(loaded) - set(values)
             if unknown:
                 raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in loaded.items():
+                # A float setting also takes a JSON integer; bool is not int.
+                kind = type(values[key])
+                if type(value) not in ((int, float) if kind is float else (kind,)):
+                    raise ConfigurationError(
+                        f"config key {key!r} in {args.config} must be "
+                        f"{kind.__name__}, got {value!r}")
             values.update(loaded)
             given.update(loaded)
         for key in values:

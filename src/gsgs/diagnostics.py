@@ -100,18 +100,6 @@ class MomentComparison:
     cov_gap: float = 0.0
     cov_allowed: float = 0.0
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "mean_failures": [
-                {"coordinate": int(i), "diff": float(d), "allowed": float(a)}
-                for i, d, a in self.mean_failures
-            ],
-            "max_mean_sigma": float(self.max_mean_sigma),
-            "cov_gap": float(self.cov_gap),
-            "cov_allowed": float(self.cov_allowed),
-        }
-
     def __str__(self):
         verdict = "PASS" if self.passed else "FAIL"
         lines = [

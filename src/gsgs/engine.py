@@ -3,8 +3,11 @@
 Each iteration draws theta from its conditional, seeds a conjugate direction
 set with the (optionally perturbed) gradient of the Gaussian potential of
 x | theta, and replaces the full high-dimensional Gaussian draw with an exact
-excursion along those few directions. The chain targets the joint p(x, theta)
-whatever the direction count; the perturbation keeps it irreducible.
+excursion along those few directions. With a full direction set the
+excursion is an exact draw from x | theta, so the chain is exact Gibbs on
+p(x, theta). With a partial set the directions depend on x through the
+gradient, and the kernel is not invariant in any perturbation mode: the
+invariance suite measures one step from stationarity shrinking the covariance.
 """
 
 import csv
@@ -16,16 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .conjugate import build_conjugate_set, densify_precision, sample_along
-from .errors import ConfigurationError, GsgsError, SizeCapError
+from .conjugate import build_conjugate_set, sample_along
+from .errors import ConfigurationError, GsgsError
 from .imgio import write_image_f64
 from .rng import RngState, standard_normal_vector
 
 logger = logging.getLogger(__name__)
 
 PERTURBATIONS = ("none", "iid_normal", "factored_q")
-
-KRYLOV_CAP = 512
 
 # chain.csv's columns that describe an iteration rather than draw from the
 # chain: "t" is written first, the others after the theta columns and J.
@@ -43,7 +44,7 @@ class ThetaModel:
     ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of
     ``precision``, the ``coordinates`` of the precision the engine built for
     theta, so the draw is in the coordinates the x-step runs in; that draw is
-    what the guaranteed-convergence mode expects.
+    the ``factored_q`` perturbation.
     """
 
     def encode(self, x):
@@ -87,9 +88,9 @@ class GsgsConfig:
     """Chain settings.
 
     ``perturbation_period`` perturbs the gradient on every k-th iteration
-    (starting with the first) and leaves it unperturbed in between; invariance
-    does not need the perturbation at all, only irreducibility does, so an
-    infrequent schedule is sound.
+    (starting with the first) and leaves it unperturbed in between. A full
+    direction set is exact without the perturbation; a partial set fails the
+    invariance suite's one-step check in every perturbation mode.
     """
 
     n_dirs: int
@@ -363,52 +364,3 @@ def run_chain(model, x0, cfg, step=gsgs_step):
         )
     return record
 
-
-def krylov_rank_diagnostic(precisions, xs, bs=None, cap=KRYLOV_CAP, rel_tol=1e-10):
-    """Numerical rank of the union of Krylov spaces along a trajectory.
-
-    For every supplied precision Q and point x, the vectors Q^k x for
-    k = 0..dim are collected (normalized at each power); when ``bs`` is given,
-    the implicit means are recovered by a dense solve of Q m = b and their
-    Krylov vectors are added too. A rank equal to the dimension certifies that
-    an unperturbed chain visiting these (Q, x) pairs can reach the whole
-    space; a deficient rank flags that the certificate does not hold for this
-    trajectory.
-    """
-    precisions = list(precisions)
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    if len(precisions) != len(xs):
-        raise ValueError("need one x per precision")
-    if bs is not None:
-        bs = [np.asarray(b, dtype=float) for b in bs]
-        if len(bs) != len(precisions):
-            raise ValueError("need one b per precision")
-    dims = {q.dim for q in precisions}
-    if len(dims) != 1:
-        raise ValueError(f"all precisions must share one dimension, got {sorted(dims)}")
-    n = dims.pop()
-    if n > cap:
-        raise SizeCapError(f"dimension {n} above the dense-path cap {cap}")
-
-    columns = []
-
-    def extend(q, v):
-        v = v.astype(float, copy=True)
-        for _ in range(n + 1):
-            norm = np.linalg.norm(v)
-            if norm == 0.0 or not np.isfinite(norm):
-                return
-            v = v / norm
-            columns.append(v)
-            v = q.apply(v)
-
-    for i, q in enumerate(precisions):
-        extend(q, xs[i])
-        if bs is not None and bs[i].any():
-            mean = np.linalg.solve(densify_precision(q), bs[i])
-            extend(q, mean)
-
-    if not columns:
-        return 0
-    singular = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
-    return int((singular > rel_tol * singular[0]).sum())

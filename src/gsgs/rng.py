@@ -1,10 +1,9 @@
 """Seeded randomness and the scalar/vector draws the samplers consume.
 
 One RngState owns one stream. Streams are PCG64 behind numpy's Generator, so
-a fixed seed pins the exact sample sequence for a given numpy generation;
-child streams are split off with SeedSequence.spawn and never overlap with
-the parent, which keeps parallel diagnostics from perturbing chain
-reproducibility.
+a fixed seed pins the exact sample sequence for a given numpy generation.
+Independent chains take distinct seeds (``gsgs run --chains`` seeds chain i
+with seed + i).
 """
 
 import math
@@ -15,20 +14,10 @@ import numpy as np
 class RngState:
     """Single-owner random stream. Pass it along; never share it across chains."""
 
-    def __init__(self, seed=0, _sequence=None):
-        if _sequence is None:
-            _sequence = np.random.SeedSequence(int(seed))
+    def __init__(self, seed=0):
         self.seed = seed
-        self._sequence = _sequence
-        self.generator = np.random.Generator(np.random.PCG64(_sequence))
-
-    def child(self):
-        """Split off one independent stream."""
-        return RngState(seed=self.seed, _sequence=self._sequence.spawn(1)[0])
-
-    def children(self, n):
-        """Split off ``n`` independent streams."""
-        return [RngState(seed=self.seed, _sequence=s) for s in self._sequence.spawn(n)]
+        self.generator = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(int(seed))))
 
     def __repr__(self):
         return f"RngState(seed={self.seed!r})"

@@ -191,9 +191,9 @@ class GridSpectra:
     operators, read off the operators themselves (no FFT, no adjoint pass),
     and the alias coordinates it runs in.
 
-    ``blur``/``blur_conj`` are the blur's half-plane spectrum and its
-    conjugate, ``penalty_conj`` of the penalty's, and ``mask`` is D^T 1, the
-    frame count of every pixel, on one f x f cell (it repeats with period f).
+    ``blur_conj`` and ``penalty_conj`` are the conjugate half-plane spectra
+    of the blur and the penalty. The mask D^T 1, the frame count of every
+    pixel, is read from ``decimation.coverage()`` on one f x f cell.
 
     Alias coordinates: with decimation factor f, the mask has period f, so
     multiplying by it couples only the f^2 frequencies k + (a rows/f,
@@ -215,7 +215,6 @@ class GridSpectra:
     shape: tuple
     blur_conj: np.ndarray
     penalty_conj: np.ndarray
-    mask: np.ndarray
     decimation: DecimationOperator
     coord_blur: np.ndarray
     coord_blur_conj: np.ndarray
@@ -248,7 +247,6 @@ class GridSpectra:
             shape=blur.shape,
             blur_conj=blur.half_spectrum_conj,
             penalty_conj=penalty.half_spectrum_conj,
-            mask=mask,
             decimation=decimation,
             coord_blur=coord_blur,
             coord_blur_conj=np.conj(coord_blur),
@@ -342,7 +340,6 @@ class SpectralPrecision:
     """
 
     def __init__(self, spectra, gamma_n, gamma_x, b, b_coords):
-        self.spectra = spectra
         self.dim = spectra.shape[0] * spectra.shape[1]
         self.b = b
         self.coordinates = AliasPrecision(spectra, gamma_n, gamma_x, b_coords)
@@ -641,13 +638,13 @@ class SuperResResult:
         return self.record.theta_std("gamma_x")
 
 
-def run_superres(model, cfg, literal_shapes=False, x0=None, step=gsgs_step):
+def run_superres(model, cfg, literal_shapes=False, step=gsgs_step):
     """Run the Gibbs chain on a super-resolution model.
 
     Returns the posterior mean and pixelwise standard deviation computed from
     post-burn-in iterates, plus the full chain record. The chain starts at
-    the backprojection of the data unless ``x0`` is given. ``step`` is the
-    engine's x-step (see `run_chain`): `gsgs_step` or `exact_step`.
+    the backprojection of the data. ``step`` is the engine's x-step (see
+    `run_chain`): `gsgs_step` or `exact_step`.
     """
     if cfg.perturbation == "none":
         logger.warning(
@@ -655,8 +652,7 @@ def run_superres(model, cfg, literal_shapes=False, x0=None, step=gsgs_step):
             "guaranteed and the posterior spread is typically underestimated"
         )
     theta_model = SuperResThetaModel(model, literal_shapes=literal_shapes)
-    start = model.backprojection() if x0 is None else np.asarray(x0, dtype=float)
-    record = run_chain(theta_model, start, cfg, step=step)
+    record = run_chain(theta_model, model.backprojection(), cfg, step=step)
     shape = model.hr_shape
     return SuperResResult(
         posterior_mean=record.mean_x.reshape(shape),

@@ -284,6 +284,20 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert run_cli("simulate", "--config", cfg_path, "-o", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"n_dirs": 4', "cfg.json"),  # invalid JSON
+    ('["n_dirs"]', "cfg.json"),  # not an object
+    ('{"n_dirs": "four"}', "n_dirs"),  # wrong type
+    ('{"gamma_n_true": true}', "gamma_n_true"),  # bool is not a number
+])
+def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, text, named):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
+    cfg_path.write_text(text)
+    assert run_cli("simulate", "--config", cfg_path, "-o", out, *GRID) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_multi_chain_fanout(tmp_path, monkeypatch):
     monkeypatch.setenv("GSGS_THREADS", "2")
     sim, out = tmp_path / "sim", tmp_path / "multi"

@@ -100,13 +100,6 @@ def test_moment_compare_dim_mismatch():
         moment_compare(a, b, 4.0, 0.05)
 
 
-def test_moment_report_serializes():
-    gen = np.random.default_rng(10)
-    summary = summarize(gen.standard_normal((1000, 2)))
-    d = moment_compare(summary, summary, 4.0, 0.05).to_dict()
-    assert d["passed"] is True and "cov_gap" in d
-
-
 def test_autocorrelation_constant_series_degenerate():
     acf = autocorrelation(np.full(1000, 2.0), 5)
     assert acf[0] == 1.0

@@ -1,4 +1,4 @@
-"""Gibbs engine mechanics: stepping, recording, determinism, rank diagnostic."""
+"""Gibbs engine mechanics: stepping, recording, determinism."""
 
 import logging
 import math
@@ -14,10 +14,8 @@ from gsgs import (
     GsgsError,
     IdentityOperator,
     RngState,
-    SizeCapError,
     exact_step,
     gsgs_step,
-    krylov_rank_diagnostic,
     read_image_f64,
     run_chain,
 )
@@ -201,41 +199,6 @@ def test_chain_record_save_and_reload(tmp_path):
     ]
     snap = read_image_f64(tmp_path / "snap_40.f64")
     np.testing.assert_array_equal(snap.ravel(), record.snapshots[-1][1])
-
-
-def test_krylov_rank_identity_is_one():
-    q = identity_precision(3)
-    x = np.array([1.0, 0.0, 0.0])
-    assert krylov_rank_diagnostic([q], [x]) == 1
-
-
-def test_krylov_rank_distinct_spectrum_is_full():
-    q = PrecisionModel(3, [(DenseOperator(np.diag(np.sqrt([1.0, 2.0, 3.0]))), 1.0)],
-                       np.zeros(3))
-    assert krylov_rank_diagnostic([q], [np.ones(3)]) == 3
-
-
-def test_krylov_rank_repeated_eigenvalue_deficient():
-    q = PrecisionModel(3, [(DenseOperator(np.diag(np.sqrt([1.0, 1.0, 2.0]))), 1.0)],
-                       np.zeros(3))
-    rank = krylov_rank_diagnostic([q], [np.array([1.0, 0.0, 1.0])], bs=[np.zeros(3)])
-    assert rank == 2
-
-
-def test_krylov_rank_mean_stream_can_certify():
-    # x alone spans a deficient space; the implicit mean supplies the rest.
-    q = PrecisionModel(3, [(DenseOperator(np.diag(np.sqrt([1.0, 1.0, 2.0]))), 1.0)],
-                       np.zeros(3))
-    rank = krylov_rank_diagnostic(
-        [q], [np.array([1.0, 0.0, 1.0])], bs=[np.array([0.0, 1.0, 0.0])]
-    )
-    assert rank == 3
-
-
-def test_krylov_rank_respects_cap():
-    q = identity_precision(4)
-    with pytest.raises(SizeCapError):
-        krylov_rank_diagnostic([q], [np.ones(4)], cap=3)
 
 
 def test_clamps_n_dirs_to_dimension():

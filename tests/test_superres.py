@@ -117,7 +117,7 @@ def test_densified_precision_matches_explicit_grams():
 @pytest.mark.parametrize("gamma_x", [0.0, 2.5])
 def test_spectral_precision_matches_explicit_grams(shape, factor, frames, gamma_x):
     model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(40))
-    assert model.spectra.mask.max() == max(frames.count(f) for f in frames)
+    assert model.decimation.coverage().max() == max(frames.count(f) for f in frames)
     hp = Hyperparams(gamma_n=0.7, gamma_x=gamma_x)
     precision = build_precision(model, hp)
     assert isinstance(precision, SpectralPrecision)
