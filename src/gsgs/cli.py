@@ -91,6 +91,12 @@ class RunConfig:
                     raise ConfigurationError(
                         f"config key {key!r} in {args.config} must be "
                         f"{kind.__name__}, got {value!r}")
+            offsets = loaded.get("offsets", [])
+            if not all(type(o) is list and len(o) == 2 and all(type(v) is int for v in o)
+                       for o in offsets):
+                raise ConfigurationError(
+                    f"config key 'offsets' in {args.config} must be a list of "
+                    f"[row, col] integer pairs, got {offsets!r}")
             values.update(loaded)
             given.update(loaded)
         for key in values:

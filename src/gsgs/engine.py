@@ -39,8 +39,9 @@ class ThetaModel:
     Subclasses supply the theta conditional and the precision of x | theta.
     ``encode`` maps x to the coordinates the x-step runs in, which must be
     those of every precision ``precision_at`` returns (the pixels by
-    default). The engine encodes x once per iteration, before the theta
-    draw, and ``sample_theta`` gets both x and its coordinates u.
+    default). The engine encodes x only where the chain state holds no
+    coordinates (`ChainState`), before the theta draw, and ``sample_theta``
+    gets both x and its coordinates u.
     ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of
     ``precision``, the ``coordinates`` of the precision the engine built for
     theta, so the draw is in the coordinates the x-step runs in; that draw is
@@ -125,13 +126,22 @@ class GsgsConfig:
 
 @dataclass
 class ChainState:
-    """Current chain point: (x, theta), iteration counter and the stream."""
+    """Current chain point: (x, theta), iteration counter and the stream.
+
+    ``coords`` are x's coordinates in the x-step's (``model.encode(x)``),
+    kept by the step that made x, so that the next step need not encode x:
+    on a spectral super-resolution model that saves one FFT per iteration
+    and leaves 1, the decode of the new point. None, the default, makes the
+    next step encode x; set it to None when replacing x by hand. Each step
+    writes the new coordinates into ``coords`` in place.
+    """
 
     x: np.ndarray
     theta: object
     t: int
     rng: RngState
     last_step: dict = field(default_factory=dict)
+    coords: np.ndarray = None
 
 
 class ChainRecord:
@@ -267,15 +277,18 @@ def _draw_perturbation(model, theta, precision, state, cfg):
 def _gibbs_step(model, state, cfg, move):
     """One Gibbs iteration, in place: the frame both x-steps share.
 
-    x is encoded into the coordinates of the model's precisions
-    (``model.encode``, see `gsgs.conjugate`), theta drawn from x and those
-    coordinates, and the gradient and J taken there under theta's
+    x's coordinates u in the model's precisions (see `gsgs.conjugate`) are
+    ``state.coords``, or ``model.encode(x)`` where those are None. theta is
+    drawn from x and u, and the gradient and J are taken at u under theta's
     precision. ``move(model, theta, precision, u, gradient, state, cfg)``
-    returns the new coordinates (None keeps x) and its ``last_step``
-    scalars; the new point is decoded once and checked finite.
+    returns the new coordinates (None keeps x and u) and its ``last_step``
+    scalars; the new point is decoded once and checked finite, and its
+    coordinates are kept in ``state.coords``.
     """
     rng = state.rng
-    u = model.encode(state.x)
+    u = state.coords
+    if u is None:
+        u = model.encode(state.x)
     theta = model.sample_theta(state.x, rng, u)
     precision = model.precision_at(theta)
     coords = precision.coordinates
@@ -287,6 +300,15 @@ def _gibbs_step(model, state, cfg, move):
         if not np.isfinite(x_new).all():
             raise GsgsError(f"chain produced a non-finite state at iteration {state.t + 1}")
         state.x = x_new
+        u = u_new
+    # One array for the whole chain: keeping a new array from each iteration
+    # to the next made glibc serve the desk's 0.7 MB conjugate store by a
+    # fresh mmap (~160 page faults) every iteration in about half of the
+    # processes.
+    if state.coords is None:
+        state.coords = u.copy()
+    else:
+        state.coords[...] = u
     state.theta = theta
     state.t += 1
     state.last_step = {"potential": potential, **scalars}

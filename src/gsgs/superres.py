@@ -17,13 +17,15 @@ frame count has the period of the decimation factor f, so it couples only
 the f^2 frequencies that alias onto one low-resolution frequency.
 `build_precision` then returns a `SpectralPrecision`, and the engine's x-step
 runs in its alias coordinates: encoding x and decoding the new point cost one
-FFT each, a Q-apply there (`AliasPrecision`) costs none and an N(0, Q) draw
-costs 2, in one batched call. The theta draw reads both norms off the same
-encode (`SuperResModel.theta_norms`), so a chain iteration takes 4 FFTs; a
-pixel-space Q-apply takes 2. When forward and penalty are matrices (dense
-blur and decimation are multiplied into one forward matrix), the model keeps
-F^T F and P^T P and `GramPrecision` applies Q as one matrix. Any other
-operators get the factored `PrecisionModel`; both of these run in the pixels.
+FFT each, while a Q-apply there (`AliasPrecision`) and an N(0, Q) draw, made
+in the coordinates themselves, cost none. The theta draw reads both norms
+off the coordinates (`SuperResModel.theta_norms`), and the engine keeps the
+chain's coordinates between iterations, so a chain iteration takes 1 FFT,
+the decode of its new point; a pixel-space Q-apply takes 2. When forward and
+penalty are matrices (dense blur and decimation are multiplied into one
+forward matrix), the model keeps F^T F and P^T P and `GramPrecision` applies
+Q as one matrix. Any other operators get the factored `PrecisionModel`; both
+of these run in the pixels.
 """
 
 import functools
@@ -191,35 +193,42 @@ class GridSpectra:
     operators, read off the operators themselves (no FFT, no adjoint pass),
     and the alias coordinates it runs in.
 
-    ``blur_conj`` and ``penalty_conj`` are the conjugate half-plane spectra
-    of the blur and the penalty. The mask D^T 1, the frame count of every
-    pixel, is read from ``decimation.coverage()`` on one f x f cell.
+    Alias coordinates: with decimation factor f, the mask D^T 1 (the frame
+    count of every pixel, read from ``decimation.coverage()`` on one f x f
+    cell) has period f, so multiplying by it couples only the f^2
+    frequencies k + (a rows/f, c cols/f) that alias onto one low-resolution
+    frequency. The coordinates hold the full spectrum of an image at every
+    frequency whose low-resolution column lies in the half-plane
+    [0, (cols/f)//2], grouped as (column alias class, row, column), read
+    from its rfft2 half-plane by slices (`to_coords`). Scaled by
+    sqrt(w / n_pixels) (w = 1 on self-conjugate low-resolution columns, 2
+    elsewhere) and viewed as real, they are an orthogonal change of
+    coordinates: ``encode`` preserves inner products and ``decode`` inverts
+    it. There Q x is gamma_n conj(H) K (H U) + gamma_x |P|^2 U, with
+    ``coord_blur`` H and ``coord_penalty_power`` |P|^2 the blur and penalty
+    spectra in the same layout, and ``coupling`` K the f^2 x f^2
+    alias-coupling matrix, built from the f x f DFT of the mask cell.
 
-    Alias coordinates: with decimation factor f, the mask has period f, so
-    multiplying by it couples only the f^2 frequencies k + (a rows/f,
-    c cols/f) that alias onto one low-resolution frequency. The coordinates
-    hold the full spectrum of an image at every frequency whose
-    low-resolution column lies in the half-plane [0, (cols/f)//2], grouped as
-    (column alias class, row, column), read from its rfft2 half-plane by
-    slices (`to_coords`). Scaled by sqrt(w / n_pixels) (w = 1 on
-    self-conjugate low-resolution columns, 2 elsewhere) and viewed as real,
-    they are an orthogonal change of coordinates: ``encode`` preserves inner
-    products and ``decode`` inverts it. There Q x is
-    gamma_n conj(H) K (H U) + gamma_x |P|^2 U, with ``coord_blur`` H and
-    ``coord_penalty_power`` |P|^2 the blur and penalty spectra in the same
-    layout, and ``coupling`` K the f^2 x f^2 alias-coupling matrix, built
-    from the f x f DFT of the mask cell. Every array is built in model
-    construction, from slices of the operators' spectra.
+    Images fill only a subspace of the coordinates: on the self-conjugate
+    low-resolution columns, the coordinates hold both a frequency and its
+    negation, where a real image's spectrum takes conjugate values.
+    ``noise_weight * z[noise_source]``, with z one standard normal per
+    pixel, is a standard normal vector of that subspace (`_noise_gather`).
+    With ``coupling_sqrt`` K^(1/2) and ``coord_penalty_conj`` conj(P) it
+    makes the N(0, Q) draw (`AliasPrecision.draw_noise`). Every array is
+    built in model construction, from slices of the operators' spectra.
     """
 
     shape: tuple
-    blur_conj: np.ndarray
-    penalty_conj: np.ndarray
-    decimation: DecimationOperator
+    factor: int
     coord_blur: np.ndarray
     coord_blur_conj: np.ndarray
     coord_penalty_power: np.ndarray
+    coord_penalty_conj: np.ndarray
     coupling: np.ndarray
+    coupling_sqrt: np.ndarray
+    noise_source: np.ndarray
+    noise_weight: np.ndarray
     scale: np.ndarray
 
     @classmethod
@@ -239,19 +248,22 @@ class GridSpectra:
         # lr_cols / 2, 2 elsewhere.
         scale = np.full(half_cols, math.sqrt(2.0 / (rows * cols)))
         scale[0] = scale[-1 if lr_cols % 2 == 0 else 0] = math.sqrt(1.0 / (rows * cols))
-        mask = decimation.coverage()
+        mask = decimation.coverage().T.ravel()
         dft, dft_conj = _alias_dft(f)
         coord_blur = _alias_columns(blur.kernel_spectrum, f, half_cols)
         coord_penalty = _alias_columns(penalty.kernel_spectrum, f, half_cols)
+        noise_source, noise_weight = _noise_gather(f, rows, lr_cols)
         return cls(
             shape=blur.shape,
-            blur_conj=blur.half_spectrum_conj,
-            penalty_conj=penalty.half_spectrum_conj,
-            decimation=decimation,
+            factor=f,
             coord_blur=coord_blur,
             coord_blur_conj=np.conj(coord_blur),
             coord_penalty_power=coord_penalty.real**2 + coord_penalty.imag**2,
-            coupling=(dft * mask.T.ravel()) @ dft_conj,
+            coord_penalty_conj=np.conj(coord_penalty),
+            coupling=(dft * mask) @ dft_conj,
+            coupling_sqrt=(dft * np.sqrt(mask)) @ dft_conj,
+            noise_source=noise_source,
+            noise_weight=noise_weight,
             scale=scale,
         )
 
@@ -265,7 +277,7 @@ class GridSpectra:
         stays, row r comes from row rows - r).
         """
         rows, cols = self.shape
-        f = self.decimation.factor
+        f = self.factor
         lr_cols, half_cols = cols // f, self.scale.size
         out = np.empty((f, rows, half_cols), dtype=complex)
         for s in range(f):
@@ -287,7 +299,7 @@ class GridSpectra:
         """The image with alias coordinates u, through its rfft2 half-plane
         (`to_coords` backwards): one FFT."""
         rows, cols = self.shape
-        f = self.decimation.factor
+        f = self.factor
         lr_cols, half_cols = cols // f, self.scale.size
         classes = u.view(complex).reshape(f, rows, half_cols) / self.scale
         half = np.empty((rows, cols // 2 + 1), dtype=complex)
@@ -326,6 +338,52 @@ def _alias_columns(full, f, half_cols):
     rows, cols = full.shape
     classes = full.reshape(rows, f, cols // f)[:, :, :half_cols].transpose(1, 0, 2)
     return np.ascontiguousarray(classes).reshape(f * f, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _noise_gather(f, rows, lr_cols):
+    """(source, weight), read-only: ``weight * z[source]`` with z standard
+    normal of length rows * cols is the orthogonal projection, onto the
+    images' alias coordinates, of a standard normal vector of all the
+    coordinates (real view), in law.
+
+    Entries of the self-conjugate low-resolution columns j = 0 and, for even
+    lr_cols, j = lr_cols / 2 pair with the entry at the negated frequency:
+    class -s mod f, or f - 1 - s on column lr_cols / 2, and row -r mod rows.
+    The projection averages a pair into conjugates, whose real and imaginary
+    parts take one normal each, scaled by sqrt(1/2), and keeps the real part
+    of an entry paired with itself. Every other entry is free and takes two
+    normals. That uses one normal per pixel.
+    """
+    half_cols = lr_cols // 2 + 1
+    index = np.arange(f * rows * half_cols).reshape(f, rows, half_cols)
+    s = np.arange(f)[:, None]
+    r = -np.arange(rows) % rows
+    own, mate = [index[:, :, 0]], [index[-s % f, r, 0]]
+    if lr_cols % 2 == 0:
+        own.append(index[:, :, lr_cols // 2])
+        mate.append(index[f - 1 - s, r, lr_cols // 2])
+    own, mate = np.concatenate(own, axis=None), np.concatenate(mate, axis=None)
+    free = np.ones(index.size, dtype=bool)
+    free[own] = False
+    free = np.flatnonzero(free)
+    lo, hi = own[own < mate], mate[own < mate]
+    alone = own[own == mate]
+    source = np.zeros(2 * index.size, dtype=np.intp)
+    weight = np.ones(2 * index.size)
+    # Real parts at even positions, imaginary parts at odd ones.
+    n_free = 2 * free.size
+    source[2 * free] = np.arange(0, n_free, 2)
+    source[2 * free + 1] = np.arange(1, n_free, 2)
+    pair = np.arange(n_free, n_free + 2 * lo.size, 2)
+    source[2 * lo] = source[2 * hi] = pair
+    source[2 * lo + 1] = source[2 * hi + 1] = pair + 1
+    weight[2 * lo] = weight[2 * hi] = weight[2 * lo + 1] = math.sqrt(0.5)
+    weight[2 * hi + 1] = -math.sqrt(0.5)
+    source[2 * alone] = np.arange(n_free + 2 * lo.size, n_free + 2 * lo.size + alone.size)
+    weight[2 * alone + 1] = 0.0
+    source.flags.writeable = weight.flags.writeable = False
+    return source, weight
 
 
 class SpectralPrecision:
@@ -406,31 +464,29 @@ class AliasPrecision:
         return np.linalg.solve(blocks, rhs[..., None])[..., 0].T.reshape(-1).view(float)
 
     def draw_noise(self, rng):
-        """One draw from N(0, Q) in alias coordinates, 2 FFTs in one call.
+        """One draw from N(0, Q) in alias coordinates, with no FFT.
 
-        The coordinates of
-        eps = irfft2(sqrt(gamma_n) conj(B) rfft2(D^T z_data)
-                     + sqrt(gamma_x) conj(P) rfft2(z_pix)),
-        read off the half-plane sum, with standard normal z's of the data and
-        pixel dimensions, drawn in that order: eps has covariance
-        gamma_n B^T D^T D B + gamma_x P^T P = Q. D^T z_data and z_pix are
-        stacked and transformed by one rfft2 call, which gives the same bits
-        as two. A zero gamma_x draws no z_pix.
+        eps = sqrt(gamma_n) conj(H) (K^(1/2) w_1) + sqrt(gamma_x) conj(P) w_2
+        with w_1, w_2 standard normal vectors of the images' coordinates,
+        each built from one standard normal per pixel (see `GridSpectra`),
+        drawn in one call, w_1 first. K^(1/2), conj(H) and conj(P) map that
+        subspace into itself and K^(1/2) commutes with its projection, so
+        eps lies in it with covariance gamma_n conj(H) K H + gamma_x |P|^2,
+        this precision there: decoded, eps ~ N(0, Q) in pixels. A zero
+        gamma_x draws no w_2.
         """
         spectra = self.spectra
-        shape = spectra.shape
-        decimation = spectra.decimation
-        z_data = standard_normal_vector(rng, decimation.out_dim)
-        planes = np.empty((2 if self.gamma_x > 0 else 1, *shape))
-        planes[0] = decimation.adjoint_apply(z_data).reshape(shape)
+        terms = 2 if self.gamma_x > 0 else 1
+        rows, cols = spectra.shape
+        z = standard_normal_vector(rng, terms * rows * cols).reshape(terms, -1)
+        w = z.take(spectra.noise_source, axis=1)
+        w *= spectra.noise_weight
+        classes = w.view(complex).reshape(terms, *spectra.coord_blur.shape)
+        out = spectra.coupling_sqrt @ classes[0]
+        out *= math.sqrt(self.gamma_n) * spectra.coord_blur_conj
         if self.gamma_x > 0:
-            planes[1] = standard_normal_vector(rng, shape[0] * shape[1]).reshape(shape)
-        halves = np.fft.rfft2(planes)
-        out = halves[0]
-        out *= math.sqrt(self.gamma_n) * spectra.blur_conj
-        if self.gamma_x > 0:
-            out += (math.sqrt(self.gamma_x) * spectra.penalty_conj) * halves[1]
-        return spectra.to_coords(out)
+            out += (math.sqrt(self.gamma_x) * spectra.coord_penalty_conj) * classes[1]
+        return out.reshape(-1).view(float)
 
     def sample(self, rng):
         """One exact draw from N(m, Q^{-1}): Q^{-1} (b + eps), eps ~ N(0, Q)."""

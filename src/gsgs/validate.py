@@ -337,8 +337,8 @@ def build_toy_model(seed=0):
     Three-tap blur (0.2, 0.6, 0.2), periodic second-difference penalty, unit
     true noise precision. Hyperpriors are weakly informative
     (all parameters 0.1) rather than flat: with a flat prior this model's
-    smoothness-precision posterior has a non-integrable logarithmic tail, and
-    every sampler, exact ones included, eventually random-walks to infinity.
+    smoothness-precision posterior has a non-integrable logarithmic tail, so
+    it is improper, and a chain's gamma_x has no posterior to settle on.
     Operators are stored dense: the chains are long and the grids tiny.
     """
     truth = phantom((1, 16))

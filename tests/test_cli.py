@@ -289,6 +289,9 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     ('["n_dirs"]', "cfg.json"),  # not an object
     ('{"n_dirs": "four"}', "n_dirs"),  # wrong type
     ('{"gamma_n_true": true}', "gamma_n_true"),  # bool is not a number
+    ('{"offsets": [5]}', "offsets"),  # an offset that is not a pair
+    ('{"offsets": [["a", 0]]}', "offsets"),  # a pair that is not integers
+    ('{"offsets": [[true, 0]]}', "offsets"),  # bool is not an integer
 ])
 def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, text, named):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"

@@ -84,11 +84,15 @@ def test_zero_seed_direction_skips_update(caplog):
     b = np.array([0.5, -1.0, 2.0])
     model = FixedGaussianModel(identity_precision(n, b=b))  # mean = b
     cfg = GsgsConfig(n_dirs=n, max_iters=1, perturbation="none", seed=0)
-    state = ChainState(x=b.copy(), theta=None, t=0, rng=RngState(0))
+    coords = b.copy()
+    state = ChainState(x=b.copy(), theta=None, t=0, rng=RngState(0), coords=coords)
     with caplog.at_level(logging.WARNING, logger="gsgs.engine"):
         state = gsgs_step(model, state, cfg)
     assert state.t == 1
     np.testing.assert_array_equal(state.x, b)
+    # The skipped step keeps the chain's coordinates as they were.
+    assert state.coords is coords
+    np.testing.assert_array_equal(coords, b)
     assert state.last_step["skipped"]
     assert any("zero seed direction" in m for m in caplog.messages)
 

@@ -327,6 +327,73 @@ def test_spectral_noise_covariance_matches_precision():
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
 
 
+class PresetNormals:
+    """Stands in for an `RngState`: hands out ``values`` in order as the
+    standard normals of each draw, and counts how many were taken."""
+
+    def __init__(self, values):
+        self.values = values
+        self.taken = 0
+        self.generator = self
+
+    def standard_normal(self, n):
+        self.taken += n
+        return self.values[self.taken - n : self.taken].copy()
+
+
+def identity_model_4x4():
+    ident = make_circulant((4, 4), [[1.0]], anchor=(0, 0))
+    return SuperResModel(
+        blur=ident, decimation=DecimationOperator((4, 4), 1, [(0, 0)]),
+        penalty=make_circulant((4, 4), [[-1, 2, -1]]), data=np.zeros(16), hr_shape=(4, 4),
+    )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: simulate_data(phantom((8, 12)), 2, ((0, 0), (1, 0), (0, 1)), 3, 1.0, RngState(52)),
+    # repeated offset: mask = 2
+    lambda: simulate_data(phantom((9, 6)), 3, ((0, 0), (2, 1), (0, 0)), 3, 1.0, RngState(52)),
+    # odd low-resolution column count, 5
+    lambda: simulate_data(phantom((6, 10)), 2, ((0, 0), (1, 0), (0, 1)), 3, 1.0, RngState(52)),
+    identity_model_4x4,
+], ids=["8x12-f2", "9x6-f3-repeated", "6x10-f2-odd", "4x4-f1"])
+@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+def test_spectral_noise_is_exactly_n_0_q(build, gamma_x):
+    # The noise draw is linear in its normals: fed unit vectors, it gives its
+    # matrix L, and decode L must have covariance Q exactly. Its draws lie
+    # on the images' coordinates, and it takes one normal per pixel and term.
+    model = build()
+    precision = build_precision(model, Hyperparams(gamma_n=0.7, gamma_x=gamma_x))
+    coords = precision.coordinates
+    n_normals = model.n_pixels * (2 if gamma_x > 0 else 1)
+    counter = PresetNormals(np.zeros(n_normals))
+    coords.draw_noise(counter)
+    assert counter.taken == n_normals
+    noise_map = np.array([coords.draw_noise(PresetNormals(unit))
+                          for unit in np.eye(n_normals)]).T
+    decoded = np.array([precision.decode(eps) for eps in noise_map.T]).T
+    target = densify_precision(precision)
+    cov = decoded @ decoded.T
+    assert np.linalg.norm(cov - target) <= 1e-12 * np.linalg.norm(target)
+    round_trip = np.array([precision.encode(x) for x in decoded.T]).T
+    assert np.abs(round_trip - noise_map).max() <= 1e-13 * np.abs(noise_map).max()
+
+
+def test_kept_coordinates_do_not_drift():
+    # The chain keeps its coordinates between iterations instead of encoding
+    # each new x; 2,000 desk iterations at k = 10 must leave them the
+    # coordinates of x to rounding.
+    model = simulate_data(phantom((64, 64)), 2, ((0, 0), (1, 0), (0, 1)), 5, 1.0,
+                          RngState(53))
+    theta_model = SuperResThetaModel(model)
+    cfg = GsgsConfig(n_dirs=10, max_iters=1)
+    state = ChainState(x=model.backprojection(), theta=None, t=0, rng=RngState(54))
+    for _ in range(2000):
+        gsgs_step(theta_model, state, cfg)
+    encoded = model.encode(state.x)
+    assert np.linalg.norm(encoded - state.coords) <= 1e-12 * np.linalg.norm(encoded)
+
+
 def test_po_perturbation_deterministic_under_seed():
     model = small_model(seed=16)
     precision = build_precision(model, Hyperparams(1.0, 1.0))
@@ -368,8 +435,11 @@ def test_pinned_low_prior_mean_approaches_normal_equation_solution():
 ])
 def test_spectral_step_matches_dense_step(shape, factor, frames, n_dirs, perturbation):
     # One chain step in alias coordinates against the same step on the same
-    # matrices in pixels, from one state and one stream: the stream layout
-    # (theta, z_data, z_pix, coefficients) is shared, so they agree to rounding.
+    # matrices in pixels, from one state and one stream layout (theta, noise,
+    # coefficients), so they agree to rounding. The spectral noise is drawn
+    # in coordinates, so the dense step's factored_q perturbation is that
+    # draw decoded, taken on the dense chain's own stream: both steps consume
+    # the same normals.
     sim = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(50),
                         alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1)
     dense = SuperResModel(
@@ -378,12 +448,18 @@ def test_spectral_step_matches_dense_step(shape, factor, frames, n_dirs, perturb
         alpha_n=0.1, beta_n=0.1, alpha_x=0.1, beta_x=0.1,
     )
     assert isinstance(build_precision(dense, Hyperparams(1.0, 1.0)), PrecisionModel)
+
+    class SpectralNoise(SuperResThetaModel):
+        def perturbation_at(self, theta, rng, precision):
+            spectral = build_precision(sim, theta)
+            return spectral.decode(spectral.coordinates.draw_noise(rng))
+
     cfg = GsgsConfig(n_dirs=n_dirs, max_iters=1, perturbation=perturbation)
     x0 = sim.backprojection()
     states = []
-    for model in (sim, dense):
+    for theta_model in (SuperResThetaModel(sim), SpectralNoise(dense)):
         state = ChainState(x=x0.copy(), theta=None, t=0, rng=RngState(51))
-        states.append(gsgs_step(SuperResThetaModel(model), state, cfg))
+        states.append(gsgs_step(theta_model, state, cfg))
     spectral, pixels = states
     assert spectral.last_step["n_dirs"] == pixels.last_step["n_dirs"] == n_dirs
     assert spectral.theta.gamma_n == pytest.approx(pixels.theta.gamma_n, rel=1e-12)
