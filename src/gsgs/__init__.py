@@ -38,6 +38,7 @@ from .errors import (
     DegenerateScaleError,
     DimensionError,
     GsgsError,
+    ImageFormatError,
     IndefinitePrecisionError,
     SizeCapError,
 )

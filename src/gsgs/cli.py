@@ -53,7 +53,6 @@ class RunConfig:
     beta_x: float = 0.0
     n_dirs: int = 10
     perturbation: str = "factored_q"
-    perturbation_period: int = 1
     max_iters: int = 2000
     burn_in: int = 500
     thinning: int = 10
@@ -81,6 +80,10 @@ class RunConfig:
             if not isinstance(loaded, dict):
                 raise ConfigurationError(
                     f"config file {args.config} must hold a JSON object of settings")
+            period = loaded.pop("perturbation_period", 1)  # retired; old files hold 1
+            if type(period) is not int or period != 1:
+                raise ConfigurationError(f"config key 'perturbation_period' in {args.config}"
+                                         f" is retired and reads only as 1, got {period!r}")
             unknown = set(loaded) - set(values)
             if unknown:
                 raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -128,7 +131,6 @@ class RunConfig:
             max_iters=self.max_iters,
             burn_in=self.burn_in,
             perturbation=self.perturbation,
-            perturbation_period=self.perturbation_period,
             thinning=self.thinning,
             seed=self.seed if seed is None else seed,
         )
@@ -368,8 +370,19 @@ def cmd_diagnose(args):
         raise GsgsError(f"chain file {chain_path} not found")
     with open(chain_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
+        header = next(reader, None)
+        if not header:
+            raise GsgsError(f"chain file {chain_path} has no header row")
+        rows = []
+        for row in reader:
+            where = f"chain file {chain_path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise GsgsError(f"{where}: {len(row)} values for {len(header)} columns")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise GsgsError(f"{where}: {exc}") from None
+    rows = np.array(rows)
     burn = args.burn_in
     if burn < 0:
         raise GsgsError(f"burn_in {burn} is negative")
@@ -429,8 +442,6 @@ def _add_config_flags(parser):
     parser.add_argument("--beta-x", type=float, dest="beta_x")
     parser.add_argument("--n-dirs", type=int, dest="n_dirs")
     parser.add_argument("--perturbation", choices=PERTURBATIONS)
-    parser.add_argument("--perturbation-period", type=int,
-                        dest="perturbation_period")
     parser.add_argument("--max-iters", type=int, dest="max_iters")
     parser.add_argument("--burn-in", type=int, dest="burn_in")
     parser.add_argument("--thinning", type=int)

@@ -37,19 +37,13 @@ class ThetaModel:
     """Hooks the engine needs from a concrete model.
 
     Subclasses supply the theta conditional and the precision of x | theta.
-    ``encode`` maps x to the coordinates the x-step runs in, which must be
-    those of every precision ``precision_at`` returns (the pixels by
-    default). The engine encodes x only where the chain state holds no
-    coordinates (`ChainState`), before the theta draw, and ``sample_theta``
-    gets both x and its coordinates u.
+    ``sample_theta(x, rng, u)`` draws theta at x, given x's coordinates u
+    in the x-step (`ChainState.coords`), or None at a chain's first point.
     ``perturbation_at`` draws N(0, Q_theta) through ``draw_noise`` of
     ``precision``, the ``coordinates`` of the precision the engine built for
     theta, so the draw is in the coordinates the x-step runs in; that draw is
     the ``factored_q`` perturbation.
     """
-
-    def encode(self, x):
-        return x
 
     def sample_theta(self, x, rng, u):
         raise NotImplementedError
@@ -74,9 +68,6 @@ class FixedGaussianModel(ThetaModel):
     def __init__(self, precision):
         self.precision = precision
 
-    def encode(self, x):
-        return self.precision.encode(x)
-
     def sample_theta(self, x, rng, u):
         return None
 
@@ -86,19 +77,16 @@ class FixedGaussianModel(ThetaModel):
 
 @dataclass
 class GsgsConfig:
-    """Chain settings.
-
-    ``perturbation_period`` perturbs the gradient on every k-th iteration
-    (starting with the first) and leaves it unperturbed in between. A full
-    direction set is exact without the perturbation; a partial set fails the
-    invariance suite's one-step check in every perturbation mode.
+    """Chain settings. Every iteration perturbs the gradient unless
+    ``perturbation`` is "none". A full direction set is exact without the
+    perturbation; a partial set fails the invariance suite's one-step check
+    in every perturbation mode.
     """
 
     n_dirs: int
     max_iters: int
     burn_in: int = 0
     perturbation: str = "factored_q"
-    perturbation_period: int = 1
     thinning: int = 0
     seed: int = 0
 
@@ -116,10 +104,6 @@ class GsgsConfig:
             raise ConfigurationError(
                 f"perturbation must be one of {PERTURBATIONS}, got {self.perturbation!r}"
             )
-        if self.perturbation_period < 1:
-            raise ConfigurationError(
-                f"perturbation_period must be >= 1, got {self.perturbation_period}"
-            )
         if self.thinning < 0:
             raise ConfigurationError(f"thinning must be >= 0, got {self.thinning}")
 
@@ -128,12 +112,13 @@ class GsgsConfig:
 class ChainState:
     """Current chain point: (x, theta), iteration counter and the stream.
 
-    ``coords`` are x's coordinates in the x-step's (``model.encode(x)``),
+    ``coords`` are x's coordinates in the x-step's (``precision.encode(x)``),
     kept by the step that made x, so that the next step need not encode x:
     on a spectral super-resolution model that saves one FFT per iteration
-    and leaves 1, the decode of the new point. None, the default, makes the
-    next step encode x; set it to None when replacing x by hand. Each step
-    writes the new coordinates into ``coords`` in place.
+    and leaves 1, the decode of the new point. None, the default, marks a
+    chain's first point, which the step encodes through theta's precision;
+    set it to None when replacing x by hand. Each step writes the new
+    coordinates into ``coords`` in place.
     """
 
     x: np.ndarray
@@ -267,7 +252,7 @@ class ChainRecord:
 
 def _draw_perturbation(model, theta, precision, state, cfg):
     """The gradient perturbation in the precision's coordinates, or None."""
-    if cfg.perturbation == "none" or state.t % cfg.perturbation_period != 0:
+    if cfg.perturbation == "none":
         return None
     if cfg.perturbation == "iid_normal":
         return precision.encode(standard_normal_vector(state.rng, precision.dim))
@@ -277,20 +262,20 @@ def _draw_perturbation(model, theta, precision, state, cfg):
 def _gibbs_step(model, state, cfg, move):
     """One Gibbs iteration, in place: the frame both x-steps share.
 
-    x's coordinates u in the model's precisions (see `gsgs.conjugate`) are
-    ``state.coords``, or ``model.encode(x)`` where those are None. theta is
-    drawn from x and u, and the gradient and J are taken at u under theta's
-    precision. ``move(model, theta, precision, u, gradient, state, cfg)``
-    returns the new coordinates (None keeps x and u) and its ``last_step``
-    scalars; the new point is decoded once and checked finite, and its
-    coordinates are kept in ``state.coords``.
+    x's coordinates u (see `gsgs.conjugate`) are ``state.coords``. theta is
+    drawn from x and u (None at a chain's first point, which theta's
+    precision then encodes), and the gradient and J are taken at u under
+    theta's precision. ``move(model, theta, precision, u, gradient, state,
+    cfg)`` returns the new coordinates (None keeps x and u) and its
+    ``last_step`` scalars; the new point is decoded once and checked finite,
+    and its coordinates are kept in ``state.coords``.
     """
     rng = state.rng
     u = state.coords
-    if u is None:
-        u = model.encode(state.x)
     theta = model.sample_theta(state.x, rng, u)
     precision = model.precision_at(theta)
+    if u is None:
+        u = precision.encode(state.x)
     coords = precision.coordinates
     gradient = coords.gradient(u)
     potential = 0.5 * (u.dot(gradient) - u.dot(coords.b))

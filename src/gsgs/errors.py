@@ -13,6 +13,10 @@ class ConfigurationError(GsgsError, ValueError):
     """A configuration value is out of its valid range."""
 
 
+class ImageFormatError(GsgsError, ValueError):
+    """An image file is malformed: a wrong header or a truncated payload."""
+
+
 class SizeCapError(GsgsError, ValueError):
     """A dense-path operation would exceed its configured size cap."""
 

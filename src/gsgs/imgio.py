@@ -8,6 +8,8 @@ the 16-bit range); the applied range is kept in a comment line.
 
 import numpy as np
 
+from .errors import ImageFormatError
+
 F64_MAGIC = b"GSGS-IMG"
 PGM_MAXVAL = 65535
 
@@ -28,12 +30,14 @@ def read_image_f64(path):
     with open(path, "rb") as fh:
         header = fh.readline()
         parts = header.split()
-        if len(parts) != 3 or parts[0] != F64_MAGIC:
-            raise ValueError(f"{path}: not a GSGS-IMG file (header {header!r})")
+        if (len(parts) != 3 or parts[0] != F64_MAGIC
+                or not (parts[1].isdigit() and parts[2].isdigit())):
+            raise ImageFormatError(f"{path}: not a GSGS-IMG file (header {header!r})")
         rows, cols = int(parts[1]), int(parts[2])
         data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
     if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload ({data.size} of {rows * cols} values)")
+        raise ImageFormatError(
+            f"{path}: truncated payload ({data.size} of {rows * cols} values)")
     return data.reshape(rows, cols).astype(float)
 
 
@@ -69,7 +73,7 @@ def read_image_pgm16(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
+            raise ImageFormatError(f"{path}: not a binary PGM")
         lo = hi = None
         line = fh.readline()
         while line.startswith(b"#"):
@@ -80,8 +84,8 @@ def read_image_pgm16(path):
         cols, rows = (int(v) for v in line.split())
         maxval = int(fh.readline())
         if maxval != PGM_MAXVAL:
-            raise ValueError(f"{path}: expected 16-bit PGM, maxval={maxval}")
+            raise ImageFormatError(f"{path}: expected 16-bit PGM, maxval={maxval}")
         pixels = np.frombuffer(fh.read(rows * cols * 2), dtype=">u2")
     if pixels.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
+        raise ImageFormatError(f"{path}: truncated payload")
     return pixels.reshape(rows, cols).astype(np.uint16), (lo, hi)

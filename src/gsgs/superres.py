@@ -150,31 +150,28 @@ class SuperResModel:
         """forward^T applied to the data; the default chain start."""
         return self._forward_t_data.copy()
 
-    def encode(self, x):
-        """x in the coordinates the x-step runs in: its alias coordinates
-        (one FFT) when the model has ``spectra``, else x itself."""
-        return x if self.spectra is None else self.spectra.encode(x)
-
     def pixel_norms(self, x):
         """(|data - forward x|^2, |penalty x|^2), taken on the image x."""
         residual = self.data - self.forward.apply(x)
         rough = self.penalty.apply(x)
         return float(residual.dot(residual)), float(rough.dot(rough))
 
-    def theta_norms(self, u, x=None):
-        """`pixel_norms` of the image x whose coordinates are u = encode(x).
+    def theta_norms(self, u, x):
+        """`pixel_norms` of the image x, with x-step coordinates u or None.
 
-        With ``spectra`` both are quadratic forms in u, read off with no FFT:
-        |penalty x|^2 = sum |P|^2 |U|^2 and |data - forward x|^2 =
+        With ``spectra`` both are quadratic forms in u (``spectra.encode(x)``
+        where None), read off with no FFT: |penalty x|^2 = sum |P|^2 |U|^2
+        and |data - forward x|^2 =
         |data|^2 - 2 u.(forward^T data) + sum (H U)^H K (H U). The expanded
         residual cancels as forward x approaches the data; once it falls
         below ``RESIDUAL_CANCEL_TOL`` of the sum of its terms' magnitudes,
-        both norms are taken on x in pixels instead, x decoded from u unless
-        it is passed.
+        both norms are taken on x in pixels instead.
         """
         spectra = self.spectra
         if spectra is None:
-            return self.pixel_norms(u)
+            return self.pixel_norms(x)
+        if u is None:
+            u = spectra.encode(x)
         classes = u.view(complex).reshape(spectra.coord_blur.shape)
         rough_ss = float(np.vdot(spectra.coord_penalty_power,
                                  classes.real**2 + classes.imag**2))
@@ -184,7 +181,7 @@ class SuperResModel:
         noise_ss = self._data_ss - cross + fit_ss
         if noise_ss >= RESIDUAL_CANCEL_TOL * (self._data_ss + abs(cross) + fit_ss):
             return noise_ss, rough_ss
-        return self.pixel_norms(spectra.decode(u) if x is None else x)
+        return self.pixel_norms(x)
 
 
 @dataclass(frozen=True)
@@ -621,13 +618,9 @@ def sample_hyperparams(model, x, rng, literal_shapes=False, u=None):
     convention (noise: n_pixels / 2, prior: (n_data - 1) / 2) so the two
     variants can be compared head to head.
 
-    The norms are read off x's coordinates u = model.encode(x)
-    (`SuperResModel.theta_norms`). A caller that has u passes it; x may then
-    be None.
+    The norms are those of `SuperResModel.theta_norms`, read off x's
+    coordinates u in the x-step where the caller passes them.
     """
-    if u is None:
-        x = np.asarray(x, dtype=float)
-        u = model.encode(x)
     noise_ss, rough_ss = model.theta_norms(u, x)
     if not (np.isfinite(noise_ss) and np.isfinite(rough_ss)):
         raise ValueError("non-finite residual norms; the chain state is invalid")
@@ -649,15 +642,12 @@ def sample_hyperparams(model, x, rng, literal_shapes=False, u=None):
 
 
 class SuperResThetaModel(ThetaModel):
-    """Engine hooks for the super-resolution posterior: the x-step runs in
-    the model's coordinates, and theta is drawn from them."""
+    """Engine hooks for the super-resolution posterior: theta is drawn from
+    x, read through its x-step coordinates where the chain holds them."""
 
     def __init__(self, model, literal_shapes=False):
         self.model = model
         self.literal_shapes = bool(literal_shapes)
-
-    def encode(self, x):
-        return self.model.encode(x)
 
     def sample_theta(self, x, rng, u):
         return sample_hyperparams(self.model, x, rng, self.literal_shapes, u)

@@ -1,14 +1,17 @@
 """Command-line interface: file outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 import logging
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gsgs import RngState, phantom, read_image_f64, simulate_data, write_image_f64
-from gsgs.cli import RunConfig, _load_model, main
+from gsgs.cli import RunConfig, _load_model, build_parser, main
 
 
 def run_cli(*argv):
@@ -129,6 +132,26 @@ def test_run_rejects_files_that_do_not_fit_the_geometry(tmp_path, capsys, name, 
     assert run_cli("run", "--data-dir", sim, "-o", tmp_path / "run", *SMALL) == 1
     err = capsys.readouterr().err
     assert all(count in err for count in expected)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _bad_header(path):
+    path.write_bytes(b"GSGS-IMG x 4\n" + path.read_bytes().split(b"\n", 1)[1])
+
+
+@pytest.mark.parametrize("name, spoil", [
+    ("y.f64", _bad_header), ("y.f64", _truncate), ("truth.f64", _bad_header),
+])
+def test_run_reports_malformed_image_files(tmp_path, capsys, name, spoil):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    spoil(sim / name)
+    assert run_cli("run", "--data-dir", sim, "-o", tmp_path / "run", *SMALL) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 @pytest.mark.parametrize("flag, key", [
@@ -284,6 +307,15 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert run_cli("simulate", "--config", cfg_path, "-o", tmp_path / "x") == 2
 
 
+def test_config_with_the_retired_perturbation_period_of_one_still_reads(tmp_path):
+    # Earlier resolved_config.json files record "perturbation_period": 1.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
+    cfg_path.write_text(json.dumps({"rows": 16, "cols": 16, "perturbation_period": 1}))
+    assert run_cli("simulate", "--config", cfg_path, "-o", out) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["rows"] == 16 and "perturbation_period" not in resolved
+
+
 @pytest.mark.parametrize("text, named", [
     ('{"n_dirs": 4', "cfg.json"),  # invalid JSON
     ('["n_dirs"]', "cfg.json"),  # not an object
@@ -292,6 +324,7 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     ('{"offsets": [5]}', "offsets"),  # an offset that is not a pair
     ('{"offsets": [["a", 0]]}', "offsets"),  # a pair that is not integers
     ('{"offsets": [[true, 0]]}', "offsets"),  # bool is not an integer
+    ('{"perturbation_period": 3}', "perturbation_period"),  # retired, only 1 reads
 ])
 def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, text, named):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
@@ -341,6 +374,19 @@ def test_diagnose_missing_chain_errors(tmp_path):
     assert run_cli("diagnose", "--chain", tmp_path / "absent.csv") == 1
 
 
+@pytest.mark.parametrize("text, named", [
+    ("", "no header row"),
+    ("t,gamma_n\n1,0.5\n2,abc\n", "line 3"),
+    ("t,gamma_n\n1,0.5\n2,0.7\n3\n", "line 4"),
+])
+def test_diagnose_reports_malformed_chain_files(tmp_path, capsys, text, named):
+    chain = tmp_path / "chain.csv"
+    chain.write_text(text)
+    assert run_cli("diagnose", "--chain", chain) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(chain) in err and named in err
+
+
 @pytest.mark.parametrize("max_lag", ["0", "50"])
 def test_diagnose_rejects_negative_burn_in(tmp_path, capsys, max_lag):
     chain = tmp_path / "chain.csv"
@@ -366,3 +412,15 @@ def test_validate_operators_passes_quickly(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_readme_names_only_flags_the_parser_knows():
+    # Every --flag token in README.md is an option of some subcommand.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    known = {flag for command in commands.values() for action in command._actions
+             for flag in action.option_strings}
+    assert sorted(named - known) == []

@@ -45,8 +45,6 @@ def test_config_validation():
         GsgsConfig(n_dirs=1, max_iters=10, burn_in=10)
     with pytest.raises(ConfigurationError):
         GsgsConfig(n_dirs=1, max_iters=10, perturbation="bogus")
-    with pytest.raises(ConfigurationError):
-        GsgsConfig(n_dirs=1, max_iters=10, perturbation_period=0)
 
 
 def test_snapshot_count_arithmetic():
@@ -176,19 +174,6 @@ def test_one_step_reachability_with_full_support_noise():
         state = ChainState(x=x0.copy(), theta=None, t=0, rng=rng)
         outs[i] = gsgs_step(FixedGaussianModel(model), state, cfg).x
     assert (outs - x0).var(axis=0).min() > 0
-
-
-def test_perturbation_period_skips_noise_draws():
-    # With period 3 the stream advances only on perturbed iterations, so a
-    # run with period 3 diverges from a period-1 run after the first step.
-    model, _ = spd_precision(3, 6)
-    base = dict(n_dirs=1, max_iters=6, seed=13, perturbation="iid_normal")
-    every = run_chain(FixedGaussianModel(model), np.ones(3), GsgsConfig(**base))
-    sparse = run_chain(
-        FixedGaussianModel(model), np.ones(3),
-        GsgsConfig(**base, perturbation_period=3),
-    )
-    assert not np.array_equal(every.alpha_norm, sparse.alpha_norm)
 
 
 def test_chain_record_save_and_reload(tmp_path):

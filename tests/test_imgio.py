@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from gsgs import read_image_f64, read_image_pgm16, write_image_f64, write_image_pgm16
+from gsgs import (
+    GsgsError,
+    ImageFormatError,
+    read_image_f64,
+    read_image_pgm16,
+    write_image_f64,
+    write_image_pgm16,
+)
 
 
 def test_f64_round_trip_is_exact(tmp_path):
@@ -35,6 +42,17 @@ def test_f64_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError):
         read_image_f64(path)
+
+
+@pytest.mark.parametrize("header", [b"GSGS-IMG x 4\n", b"GSGS-IMG -1 4\n", b"GSGS-IMG 4\n"])
+def test_f64_malformed_header_is_a_package_error(tmp_path, header):
+    # The package's error, so the command line reports it without a
+    # traceback; also a ValueError, as before.
+    path = tmp_path / "img.f64"
+    path.write_bytes(header + bytes(8 * 16))
+    with pytest.raises(ImageFormatError, match="img.f64") as err:
+        read_image_f64(path)
+    assert isinstance(err.value, GsgsError) and isinstance(err.value, ValueError)
 
 
 def test_pgm_round_trip_quantized(tmp_path):

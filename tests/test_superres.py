@@ -20,7 +20,7 @@ from gsgs import (
     simulate_data,
 )
 from gsgs.conjugate import PrecisionModel, densify_precision
-from gsgs.operators import DecimationOperator, DenseOperator, make_circulant
+from gsgs.operators import DecimationOperator, DenseOperator, IdentityOperator, make_circulant
 from gsgs.superres import (
     GramPrecision,
     Hyperparams,
@@ -33,6 +33,7 @@ from gsgs.superres import (
     run_superres,
     sample_hyperparams,
 )
+from gsgs.validate import build_toy_model
 
 
 def small_model(shape=(8, 8), frames=((0, 0), (1, 1)), noise=1.0, seed=0,
@@ -177,7 +178,7 @@ def test_theta_norms_in_coordinates_match_pixel_norms(shape, factor, frames, mon
     monkeypatch.setattr(model, "pixel_norms", no_fallback)
     for x in (random, smooth):
         want = pixel_norms(x)
-        got = model.theta_norms(model.encode(x))
+        got = model.theta_norms(model.spectra.encode(x), x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -191,8 +192,9 @@ def test_theta_norms_fall_back_where_the_residual_cancels():
     x = truth.ravel()
     flat = simulate_data(truth, 2, offsets, 5, math.inf, RngState(44))
     assert flat.pixel_norms(x)[0] == 0.0
+    u = flat.spectra.encode(x)
     for sample in (lambda rng: sample_hyperparams(flat, x, rng),
-                   lambda rng: SuperResThetaModel(flat).sample_theta(x, rng, flat.encode(x))):
+                   lambda rng: SuperResThetaModel(flat).sample_theta(x, rng, u)):
         with pytest.raises(DegenerateScaleError, match="zero data residual"):
             sample(RngState(45))
     prior = simulate_data(truth, 2, offsets, 5, math.inf, RngState(44), beta_n=0.1)
@@ -200,7 +202,7 @@ def test_theta_norms_fall_back_where_the_residual_cancels():
     rng = RngState(46)
     want = (gamma_draw(rng, prior.n_data / 2, 1.0 / 0.1),
             gamma_draw(rng, prior.penalty_rank / 2, 1.0 / (rough_ss / 2)))
-    got = SuperResThetaModel(prior).sample_theta(x, RngState(46), prior.encode(x))
+    got = SuperResThetaModel(prior).sample_theta(x, RngState(46), prior.spectra.encode(x))
     assert (got.gamma_n, got.gamma_x) == want
 
 
@@ -390,8 +392,35 @@ def test_kept_coordinates_do_not_drift():
     state = ChainState(x=model.backprojection(), theta=None, t=0, rng=RngState(54))
     for _ in range(2000):
         gsgs_step(theta_model, state, cfg)
-    encoded = model.encode(state.x)
+    encoded = model.spectra.encode(state.x)
     assert np.linalg.norm(encoded - state.coords) <= 1e-12 * np.linalg.norm(encoded)
+
+
+@pytest.mark.parametrize("kind", ["spectral", "gram", "factored"])
+def test_chain_start_without_coordinates_matches_encoded_start(kind):
+    # At a chain's first point the state holds no coordinates: the step draws
+    # theta from x alone, then encodes x through theta's precision. 20 steps
+    # must match those from x's coordinates passed in, bit for bit.
+    if kind == "factored":
+        gen = np.random.default_rng(60)
+        precision = PrecisionModel(6, [(DenseOperator(gen.standard_normal((9, 6))), 1.3),
+                                       (IdentityOperator(6), 0.5)], gen.standard_normal(6))
+        theta_model, x0 = FixedGaussianModel(precision), np.ones(6)
+    else:
+        model = small_model(shape=(8, 12)) if kind == "spectral" else build_toy_model(21)
+        theta_model, x0 = SuperResThetaModel(model), model.backprojection()
+        precision = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=1.0))
+    assert type(precision) is {"spectral": SpectralPrecision, "gram": GramPrecision,
+                               "factored": PrecisionModel}[kind]
+    cfg = GsgsConfig(n_dirs=3, max_iters=1)
+    fresh, encoded = (ChainState(x=x0.copy(), theta=None, t=0, rng=RngState(61), coords=c)
+                      for c in (None, precision.encode(x0).copy()))
+    for _ in range(20):
+        gsgs_step(theta_model, fresh, cfg)
+        gsgs_step(theta_model, encoded, cfg)
+        assert fresh.theta == encoded.theta
+        assert fresh.x.tobytes() == encoded.x.tobytes()
+        assert fresh.coords.tobytes() == encoded.coords.tobytes()
 
 
 def test_po_perturbation_deterministic_under_seed():
