@@ -141,9 +141,10 @@ class PrecisionModel:
 
 def densify_precision(precision, max_entries=DENSIFY_CAP):
     """Dense symmetric Q for small oracles; `SizeCapError` past ``max_entries``."""
-    # densify reads only in_dim, out_dim and apply.
+    # densify reads only in_dim, out_dim and apply, which it hands stacks of
+    # unit vectors; a precision applies to one vector at a time.
     square = LinearOperator(precision.dim, precision.dim)
-    square.apply = precision.apply
+    square.apply = lambda units: np.array([precision.apply(unit) for unit in units])
     matrix = densify(square, max_entries).matrix
     # apply() is symmetric up to rounding; make the oracle exactly so.
     return 0.5 * (matrix + matrix.T)

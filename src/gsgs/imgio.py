@@ -76,13 +76,18 @@ def read_image_pgm16(path):
             raise ImageFormatError(f"{path}: not a binary PGM")
         lo = hi = None
         line = fh.readline()
-        while line.startswith(b"#"):
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == b"range":
-                lo, hi = float(parts[2]), float(parts[3])
-            line = fh.readline()
-        cols, rows = (int(v) for v in line.split())
-        maxval = int(fh.readline())
+        try:
+            while line.startswith(b"#"):
+                parts = line.split()
+                if len(parts) == 4 and parts[1] == b"range":
+                    lo, hi = float(parts[2]), float(parts[3])
+                line = fh.readline()
+            cols, rows = (int(v) for v in line.split())
+            maxval = int(fh.readline())
+            if min(rows, cols) < 0:
+                raise ValueError(f"negative size {cols} x {rows}")
+        except ValueError as exc:
+            raise ImageFormatError(f"{path}: malformed PGM header ({exc})") from None
         if maxval != PGM_MAXVAL:
             raise ImageFormatError(f"{path}: expected 16-bit PGM, maxval={maxval}")
         pixels = np.frombuffer(fh.read(rows * cols * 2), dtype=">u2")

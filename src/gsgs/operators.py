@@ -1,10 +1,12 @@
 """Matrix-free linear operators on flattened images.
 
 Images live on fixed 2-D grids, are stored row-major and exchanged as flat
-float64 vectors. Every operator carries its adjoint, so compositions and
-normal-equation style products never need explicit matrices; a dense
-reconstruction (`densify`) is available for small problems where an
-elementwise oracle is wanted.
+float64 vectors, or as stacks of them: an (n, dim) array holds one vector per
+row, and every operator maps it row by row in one call (a circulant takes one
+FFT pair for the whole stack). Every operator carries its adjoint, so
+compositions and normal-equation style products never need explicit
+matrices; a dense reconstruction (`densify`) is available for small problems
+where an elementwise oracle is wanted.
 """
 
 import numpy as np
@@ -15,7 +17,11 @@ DENSIFY_CAP = 10_000_000
 
 
 class LinearOperator:
-    """A linear map from R^in_dim to R^out_dim together with its adjoint."""
+    """A linear map from R^in_dim to R^out_dim together with its adjoint.
+
+    ``apply`` and ``adjoint_apply`` take one vector or a stack of them, one
+    per row, and return the same layout.
+    """
 
     def __init__(self, in_dim, out_dim):
         in_dim, out_dim = int(in_dim), int(out_dim)
@@ -31,12 +37,22 @@ class LinearOperator:
         raise NotImplementedError
 
     def _check_in(self, x):
-        if x.shape != (self.in_dim,):
-            raise DimensionError(f"expected input of shape ({self.in_dim},), got {x.shape}")
+        """True for one vector of length in_dim, False for a stack of them."""
+        if x.shape == (self.in_dim,):
+            return True
+        if x.ndim == 2 and x.shape[1] == self.in_dim:
+            return False
+        raise DimensionError(
+            f"expected input of shape ({self.in_dim},) or (n, {self.in_dim}), got {x.shape}")
 
     def _check_out(self, y):
-        if y.shape != (self.out_dim,):
-            raise DimensionError(f"expected input of shape ({self.out_dim},), got {y.shape}")
+        """True for one vector of length out_dim, False for a stack of them."""
+        if y.shape == (self.out_dim,):
+            return True
+        if y.ndim == 2 and y.shape[1] == self.out_dim:
+            return False
+        raise DimensionError(
+            f"expected input of shape ({self.out_dim},) or (n, {self.out_dim}), got {y.shape}")
 
 
 class IdentityOperator(LinearOperator):
@@ -64,12 +80,16 @@ class DenseOperator(LinearOperator):
         self.matrix = matrix
 
     def apply(self, x):
-        self._check_in(x)
-        return self.matrix.dot(x)
+        # One vector takes a mat-vec; a stack takes one matrix product, which
+        # may round differently from the mat-vecs of its rows.
+        if self._check_in(x):
+            return self.matrix.dot(x)
+        return x.dot(self.matrix.T)
 
     def adjoint_apply(self, y):
-        self._check_out(y)
-        return self.matrix.T.dot(y)
+        if self._check_out(y):
+            return self.matrix.T.dot(y)
+        return y.dot(self.matrix)
 
 
 class CirculantOperator(LinearOperator):
@@ -99,15 +119,15 @@ class CirculantOperator(LinearOperator):
 
     def apply(self, x):
         self._check_in(x)
-        grid = x.reshape(self.shape)
+        grid = x.reshape(x.shape[:-1] + self.shape)
         out = np.fft.irfft2(np.fft.rfft2(grid) * self.half_spectrum, s=self.shape)
-        return out.ravel()
+        return out.reshape(x.shape)
 
     def adjoint_apply(self, y):
         self._check_out(y)
-        grid = y.reshape(self.shape)
+        grid = y.reshape(y.shape[:-1] + self.shape)
         out = np.fft.irfft2(np.fft.rfft2(grid) * self.half_spectrum_conj, s=self.shape)
-        return out.ravel()
+        return out.reshape(y.shape)
 
 
 class DecimationOperator(LinearOperator):
@@ -144,19 +164,23 @@ class DecimationOperator(LinearOperator):
 
     def apply(self, x):
         self._check_in(x)
-        grid = x.reshape(self.hr_shape)
+        lead = x.shape[:-1]
+        grid = x.reshape(lead + self.hr_shape)
+        out = np.empty(lead + (len(self.offsets),) + self.lr_shape)
         f = self.factor
-        return np.concatenate([grid[dr::f, dc::f].ravel() for dr, dc in self.offsets])
+        for i, (dr, dc) in enumerate(self.offsets):
+            out[..., i, :, :] = grid[..., dr::f, dc::f]
+        return out.reshape(lead + (self.out_dim,))
 
     def adjoint_apply(self, y):
         self._check_out(y)
-        out = np.zeros(self.hr_shape)
+        lead = y.shape[:-1]
+        frames = y.reshape(lead + (len(self.offsets),) + self.lr_shape)
+        out = np.zeros(lead + self.hr_shape)
         f = self.factor
-        frame_len = self.lr_shape[0] * self.lr_shape[1]
         for i, (dr, dc) in enumerate(self.offsets):
-            frame = y[i * frame_len : (i + 1) * frame_len].reshape(self.lr_shape)
-            out[dr::f, dc::f] += frame
-        return out.ravel()
+            out[..., dr::f, dc::f] += frames[..., i, :, :]
+        return out.reshape(lead + (self.in_dim,))
 
     def coverage(self):
         """D^T 1 on one factor x factor cell: how many frames sample each
@@ -242,22 +266,27 @@ def make_circulant(shape, kernel, anchor=None):
 
 
 def densify(op, max_entries=DENSIFY_CAP):
-    """Materialize an operator as a DenseOperator, column by column.
+    """Materialize an operator as a DenseOperator.
 
     Column j is ``op.apply(e_j)``; only feasible for small problems, guarded
-    by ``max_entries`` on ``in_dim * out_dim``.
+    by ``max_entries`` on ``in_dim * out_dim`` before anything is allocated.
+    The unit vectors go through ``op.apply`` in stacks of
+    min(in_dim, out_dim) rows, so a stack and its image each hold at most as
+    many entries as the output. Besides the output, the memory in use is
+    then the two of them plus what ``op.apply`` allocates for one stack (a
+    circulant: two half-plane spectra, about as large again as the stack).
     """
-    if op.in_dim * op.out_dim > max_entries:
+    in_dim, out_dim = op.in_dim, op.out_dim
+    if in_dim * out_dim > max_entries:
         raise SizeCapError(
-            f"dense form would hold {op.in_dim * op.out_dim} entries "
-            f"(cap {max_entries})"
+            f"dense form would hold {in_dim * out_dim} entries (cap {max_entries})"
         )
-    matrix = np.empty((op.out_dim, op.in_dim))
-    unit = np.zeros(op.in_dim)
-    for j in range(op.in_dim):
-        unit[j] = 1.0
-        matrix[:, j] = op.apply(unit)
-        unit[j] = 0.0
+    matrix = np.empty((out_dim, in_dim))
+    chunk = min(in_dim, out_dim)
+    for start in range(0, in_dim, chunk):
+        stop = min(start + chunk, in_dim)
+        units = np.eye(stop - start, in_dim, k=start)
+        matrix[:, start:stop] = op.apply(units).T
     return DenseOperator(matrix)
 
 

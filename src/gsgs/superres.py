@@ -425,8 +425,11 @@ class AliasPrecision:
         self.gamma_n = float(gamma_n)
         self.gamma_x = float(gamma_x)
         self.coupling = self.gamma_n * spectra.coupling
+        # gamma_x |P|^2 on the real view: each value twice, for the real and
+        # the imaginary part of its coordinate.
         self.prior_spectrum = (
-            self.gamma_x * spectra.coord_penalty_power if self.gamma_x > 0 else None
+            np.repeat(self.gamma_x * spectra.coord_penalty_power.reshape(-1), 2)
+            if self.gamma_x > 0 else None
         )
 
     def apply(self, u):
@@ -435,15 +438,18 @@ class AliasPrecision:
             raise DimensionError(f"expected input of shape ({self.dim},), got {u.shape}")
         spectra = self.spectra
         classes = u.view(complex).reshape(spectra.coord_blur.shape)
-        out = self.coupling @ (spectra.coord_blur * classes)
+        out = self.coupling.dot(spectra.coord_blur * classes)
         out *= spectra.coord_blur_conj
+        out = out.reshape(-1).view(float)
         if self.prior_spectrum is not None:
-            out += self.prior_spectrum * classes
-        return out.reshape(-1).view(float)
+            out += self.prior_spectrum * u
+        return out
 
     def gradient(self, u):
         """Gradient of the quadratic potential: Q u - b."""
-        return self.apply(u) - self.b
+        out = self.apply(u)
+        out -= self.b
+        return out
 
     def solve(self, r):
         """Q^{-1} r, exactly: Q is block-diagonal here, one f^2 x f^2 block

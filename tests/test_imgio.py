@@ -78,3 +78,20 @@ def test_pgm_is_16_bit_big_endian(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n")
     assert raw.endswith(b"\x00\x00\xff\xff")
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\nx 2\n65535\n",
+    b"P5\n2\n65535\n",
+    b"P5\n2 3 4\n65535\n",
+    b"P5\n-2 -2\n65535\n",
+    b"P5\n2 2\n65535.0\n",
+    b"P5\n# range a 1\n2 2\n65535\n",
+])
+def test_pgm_malformed_header_is_a_package_error(tmp_path, header):
+    # Size line, maxval and range comment alike: the package's error, naming
+    # the file.
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + bytes(2 * 4 * 3))
+    with pytest.raises(ImageFormatError, match="img.pgm"):
+        read_image_pgm16(path)

@@ -13,9 +13,11 @@ from gsgs import (
     RngState,
     SizeCapError,
     densify,
+    geometry_operators,
     make_circulant,
     max_adjoint_defect,
 )
+from gsgs import operators
 
 ADJOINT_TOL = 1e-10
 
@@ -48,6 +50,18 @@ def dense_decimation_oracle(hr_shape, factor, offsets):
                 mat[row, (dr + i * factor) * cols + (dc + j * factor)] = 1.0
                 row += 1
     return mat
+
+
+def densify_by_columns(op):
+    """One ``apply`` per unit vector, column by column: the oracle for
+    `densify`, which applies stacks of unit vectors."""
+    matrix = np.empty((op.out_dim, op.in_dim))
+    unit = np.zeros(op.in_dim)
+    for j in range(op.in_dim):
+        unit[j] = 1.0
+        matrix[:, j] = op.apply(unit)
+        unit[j] = 0.0
+    return matrix
 
 
 @pytest.fixture
@@ -188,9 +202,19 @@ def test_densified_blur_selection_rows_sum_to_kernel_mass():
     np.testing.assert_allclose(mat.sum(axis=1), np.full(16, kernel.sum()), atol=1e-12)
 
 
-def test_densify_cap():
+def test_densify_cap(monkeypatch):
+    # The cap is checked before densify allocates anything: no numpy call.
+    used = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(operators, "np", Numpy())
     with pytest.raises(SizeCapError):
         densify(IdentityOperator(4000), max_entries=10**6)
+    assert used == []
 
 
 def test_densify_agrees_with_apply(rng):
@@ -232,3 +256,86 @@ def test_operator_rejects_wrong_length():
     op = make_circulant((4, 4), [[1.0]])
     with pytest.raises(DimensionError):
         op.apply(np.zeros(15))
+
+
+STACKED = [
+    lambda: IdentityOperator(20),
+    lambda: make_circulant((8, 8), np.full((5, 5), 0.04)),
+    lambda: make_circulant((1, 16), [[0.2, 0.6, 0.2]]),
+    lambda: make_circulant((5, 7), np.arange(6.0).reshape(2, 3), anchor=(0, 2)),
+    lambda: DecimationOperator((8, 8), 2, [(0, 0), (1, 1), (0, 0)]),
+    lambda: DecimationOperator((6, 9), 3, [(2, 1)]),
+    lambda: ComposedOperator([
+        DecimationOperator((8, 8), 2, [(0, 0), (1, 0)]),
+        make_circulant((8, 8), np.full((3, 3), 1.0 / 9.0)),
+    ]),
+]
+
+
+@pytest.mark.parametrize("build", STACKED)
+@pytest.mark.parametrize("rows", [1, 5])
+def test_stacked_apply_equals_row_by_row(build, rows, rng):
+    op = build()
+    gen = rng.generator
+    xs = gen.standard_normal((rows, op.in_dim))
+    ys = gen.standard_normal((rows, op.out_dim))
+    np.testing.assert_array_equal(op.apply(xs), [op.apply(x) for x in xs])
+    np.testing.assert_array_equal(op.adjoint_apply(ys), [op.adjoint_apply(y) for y in ys])
+
+
+def test_stacked_dense_apply_equals_row_by_row(rng):
+    # A stack takes one matrix product, its rows mat-vecs: the two may sum in
+    # another order, so they agree to the rounding bound of a length-n dot
+    # product, and exactly where every sum is exact (small integers).
+    gen = rng.generator
+    matrix = gen.standard_normal((7, 12))
+    op = DenseOperator(matrix)
+    xs = gen.standard_normal((5, 12))
+    ys = gen.standard_normal((5, 7))
+    eps = np.finfo(float).eps
+    got, want = op.apply(xs), np.array([op.apply(x) for x in xs])
+    assert (np.abs(got - want) <= 12 * eps * np.abs(xs).dot(np.abs(matrix.T))).all()
+    got, want = op.adjoint_apply(ys), np.array([op.adjoint_apply(y) for y in ys])
+    assert (np.abs(got - want) <= 7 * eps * np.abs(ys).dot(np.abs(matrix))).all()
+    whole = DenseOperator(np.round(8 * matrix))
+    xs, ys = np.round(8 * xs), np.round(8 * ys)
+    np.testing.assert_array_equal(whole.apply(xs), [whole.apply(x) for x in xs])
+    np.testing.assert_array_equal(whole.adjoint_apply(ys), [whole.adjoint_apply(y) for y in ys])
+
+
+@pytest.mark.parametrize("build", [
+    *STACKED, lambda: DenseOperator(np.random.default_rng(0).standard_normal((7, 12))),
+])
+def test_stack_with_wrong_trailing_dim_is_rejected(build):
+    op = build()
+    for bad in (np.zeros((3, op.in_dim + 1)), np.zeros((2, 3, op.in_dim))):
+        with pytest.raises(DimensionError):
+            op.apply(bad)
+    for bad in (np.zeros((3, op.out_dim - 1)), np.zeros((2, 3, op.out_dim))):
+        with pytest.raises(DimensionError):
+            op.adjoint_apply(bad)
+
+
+def with_forward(blur, decimation, penalty):
+    """A geometry's operators and its forward operator, decimation after blur."""
+    return [blur, decimation, penalty, ComposedOperator([decimation, blur])]
+
+
+@pytest.mark.parametrize("ops", [
+    # The benchmark toy's (the toy-hier suite's model), the 16x16 test
+    # geometry, and an 8x12 one with fewer data than pixels.
+    lambda: with_forward(
+        make_circulant((1, 16), [[0.2, 0.6, 0.2]]),
+        DecimationOperator((1, 16), 1, [(0, 0)]),
+        make_circulant((1, 16), [[-1.0, 2.0, -1.0]]),
+    ),
+    lambda: with_forward(*geometry_operators((16, 16), 2, [(0, 0), (1, 0), (0, 1), (1, 1)], 3)),
+    lambda: with_forward(*geometry_operators((8, 12), 2, [(1, 0)], 5)),
+    lambda: [DenseOperator(np.random.default_rng(0).standard_normal((7, 12))),
+             DecimationOperator((8, 8), 2, [(1, 1), (0, 1), (1, 1)]), IdentityOperator(5)],
+])
+def test_densify_equals_the_column_loop(ops):
+    # densify applies stacks of min(in_dim, out_dim) unit vectors: one stack
+    # for a square operator, several (the last one short) where dims differ.
+    for op in ops():
+        np.testing.assert_array_equal(densify(op).matrix, densify_by_columns(op))
