@@ -27,6 +27,8 @@ from .imgio import read_image_f64, write_image_f64, write_image_pgm16
 from .rng import RngState
 from .superres import (
     SuperResModel,
+    check_hyperpriors,
+    check_noise_precision,
     geometry_operators,
     phantom,
     run_superres,
@@ -35,6 +37,11 @@ from .superres import (
 from .validate import SUITES, format_results, results_report, run_suite
 
 logger = logging.getLogger(__name__)
+
+
+# Keys of settings that are gone, and the one value each still reads as:
+# config files written before they went hold these values.
+RETIRED_KEYS = {"perturbation_period": 1, "paper_literal_shapes": False}
 
 
 @dataclass
@@ -57,7 +64,6 @@ class RunConfig:
     burn_in: int = 500
     thinning: int = 10
     seed: int = 0
-    paper_literal_shapes: bool = False
     output_dir: str = "gsgs-out"
     data_dir: str = ""
 
@@ -80,10 +86,11 @@ class RunConfig:
             if not isinstance(loaded, dict):
                 raise ConfigurationError(
                     f"config file {args.config} must hold a JSON object of settings")
-            period = loaded.pop("perturbation_period", 1)  # retired; old files hold 1
-            if type(period) is not int or period != 1:
-                raise ConfigurationError(f"config key 'perturbation_period' in {args.config}"
-                                         f" is retired and reads only as 1, got {period!r}")
+            for key, only in RETIRED_KEYS.items():
+                value = loaded.pop(key, only)
+                if type(value) is not type(only) or value != only:
+                    raise ConfigurationError(f"config key {key!r} in {args.config} is "
+                                             f"retired and reads only as {only!r}, got {value!r}")
             unknown = set(loaded) - set(values)
             if unknown:
                 raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -120,9 +127,13 @@ class RunConfig:
     def validate(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("grid dimensions must be positive")
-        # geometry_operators and GsgsConfig hold the rules for the geometry
-        # and the chain settings.
+        # geometry_operators, the superres checks and GsgsConfig hold the
+        # rules for the geometry, the model parameters and the chain settings.
         geometry_operators((self.rows, self.cols), self.factor, self.offsets, self.blur_width)
+        check_hyperpriors(alpha_n=self.alpha_n, beta_n=self.beta_n,
+                          alpha_x=self.alpha_x, beta_x=self.beta_x)
+        if self.gamma_n_true is not None:  # None: a data directory that records none
+            check_noise_precision(self.gamma_n_true)
         self.chain_config()
 
     def chain_config(self, seed=None):
@@ -278,8 +289,7 @@ def _blas_threads():
 def _single_run(cfg, seed, out):
     model = _load_model(cfg)
     start = time.perf_counter()
-    result = run_superres(model, cfg.chain_config(seed=seed),
-                          literal_shapes=cfg.paper_literal_shapes)
+    result = run_superres(model, cfg.chain_config(seed=seed))
     total_s = time.perf_counter() - start
     out = _ensure_writable(out)
     write_image_f64(out / "pm.f64", result.posterior_mean)
@@ -333,17 +343,17 @@ def cmd_run(args):
     # Record the settings the run actually uses.
     cfg = replace(cfg, **_data_settings(cfg))
     cfg.validate()
+    workers = chains
+    cap = os.environ.get("GSGS_THREADS") if chains > 1 else None
+    if cap:
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            raise GsgsError(f"GSGS_THREADS must be an integer, got {cap!r}") from None
     out = _ensure_writable(cfg.output_dir)
     if chains == 1:
         reports = [_single_run(cfg, cfg.seed, out)]
     else:
-        workers = chains
-        cap = os.environ.get("GSGS_THREADS")
-        if cap:
-            try:
-                workers = max(1, min(workers, int(cap)))
-            except ValueError:
-                raise GsgsError(f"GSGS_THREADS must be an integer, got {cap!r}") from None
         payloads = [
             (asdict(cfg), cfg.seed + i, str(out / f"chain_{i:02d}"))
             for i in range(chains)
@@ -446,13 +456,6 @@ def _add_config_flags(parser):
     parser.add_argument("--burn-in", type=int, dest="burn_in")
     parser.add_argument("--thinning", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--paper-literal-shapes", action="store_const", const=True,
-        dest="paper_literal_shapes", default=None,
-        help="use the alternate Gamma shape convention for the precision "
-        "conditionals (noise: n_pixels/2, prior: (n_data-1)/2) instead of "
-        "the dimension-consistent defaults",
-    )
     parser.add_argument("--output-dir", "-o", dest="output_dir")
     parser.add_argument("--data-dir", dest="data_dir",
                         help="directory holding y.f64/meta.json (default: output dir)")

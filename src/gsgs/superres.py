@@ -59,7 +59,7 @@ RESIDUAL_CANCEL_TOL = 1e-6
 
 @dataclass
 class Hyperparams:
-    """Noise and prior precisions. gamma_x may be zero (prior switched off)."""
+    """Noise and prior precisions, both positive and finite."""
 
     gamma_n: float
     gamma_x: float
@@ -67,8 +67,24 @@ class Hyperparams:
     def __post_init__(self):
         if not (self.gamma_n > 0 and math.isfinite(self.gamma_n)):
             raise ValueError(f"gamma_n must be positive and finite, got {self.gamma_n}")
-        if not (self.gamma_x >= 0 and math.isfinite(self.gamma_x)):
-            raise ValueError(f"gamma_x must be nonnegative and finite, got {self.gamma_x}")
+        if not (self.gamma_x > 0 and math.isfinite(self.gamma_x)):
+            raise ValueError(f"gamma_x must be positive and finite, got {self.gamma_x}")
+
+
+def check_hyperpriors(**params):
+    """Raise a `ConfigurationError` naming the first Gamma hyperprior
+    parameter (alpha_n, beta_n, alpha_x or beta_x) that is not finite and
+    nonnegative."""
+    for key, value in params.items():
+        if not (value >= 0 and math.isfinite(value)):
+            raise ConfigurationError(f"{key} must be finite and >= 0, got {value}")
+
+
+def check_noise_precision(gamma_n_true):
+    """Raise a `ConfigurationError` unless the simulated noise precision is
+    positive; ``math.inf`` (noise-free) passes."""
+    if not gamma_n_true > 0:
+        raise ConfigurationError(f"gamma_n_true must be > 0 or inf, got {gamma_n_true}")
 
 
 class SuperResModel:
@@ -88,7 +104,8 @@ class SuperResModel:
     hr_shape : (rows, cols)
         High-resolution grid.
     alpha_n, beta_n, alpha_x, beta_x : float
-        Gamma hyperprior parameters; all zero is the flat Jeffreys limit.
+        Gamma hyperprior parameters, finite and nonnegative; all zero is the
+        flat Jeffreys limit.
     truth : 2-D array, optional
         Ground truth for synthetic runs, kept for scoring only.
     """
@@ -110,8 +127,7 @@ class SuperResModel:
             raise DimensionError(
                 f"data has shape {data.shape}, expected ({decimation.out_dim},)"
             )
-        if min(alpha_n, beta_n, alpha_x, beta_x) < 0:
-            raise ValueError("hyperprior parameters must be nonnegative")
+        check_hyperpriors(alpha_n=alpha_n, beta_n=beta_n, alpha_x=alpha_x, beta_x=beta_x)
         self.blur = blur
         self.decimation = decimation
         self.penalty = penalty
@@ -412,10 +428,10 @@ class AliasPrecision:
     """The spectral precision in alias coordinates (see `GridSpectra`).
 
     Q U = gamma_n conj(H) K (H U) + gamma_x |P|^2 U: elementwise products and
-    one f^2 x f^2 matrix product, no FFT. A zero gamma_x drops the prior
-    term. Same interface as `PrecisionModel`, on vectors of ``dim`` =
-    2 f^2 (rows/f) ((cols/f)//2 + 1) reals, more than the pixel count; the
-    image space is the subspace ``encode`` maps onto, which Q preserves.
+    one f^2 x f^2 matrix product, no FFT. Same interface as `PrecisionModel`,
+    on vectors of ``dim`` = 2 f^2 (rows/f) ((cols/f)//2 + 1) reals, more than
+    the pixel count; the image space is the subspace ``encode`` maps onto,
+    which Q preserves.
     """
 
     def __init__(self, spectra, gamma_n, gamma_x, b):
@@ -427,10 +443,7 @@ class AliasPrecision:
         self.coupling = self.gamma_n * spectra.coupling
         # gamma_x |P|^2 on the real view: each value twice, for the real and
         # the imaginary part of its coordinate.
-        self.prior_spectrum = (
-            np.repeat(self.gamma_x * spectra.coord_penalty_power.reshape(-1), 2)
-            if self.gamma_x > 0 else None
-        )
+        self.prior_spectrum = np.repeat(self.gamma_x * spectra.coord_penalty_power.reshape(-1), 2)
 
     def apply(self, u):
         """Q u."""
@@ -441,8 +454,7 @@ class AliasPrecision:
         out = self.coupling.dot(spectra.coord_blur * classes)
         out *= spectra.coord_blur_conj
         out = out.reshape(-1).view(float)
-        if self.prior_spectrum is not None:
-            out += self.prior_spectrum * u
+        out += self.prior_spectrum * u
         return out
 
     def gradient(self, u):
@@ -475,20 +487,17 @@ class AliasPrecision:
         drawn in one call, w_1 first. K^(1/2), conj(H) and conj(P) map that
         subspace into itself and K^(1/2) commutes with its projection, so
         eps lies in it with covariance gamma_n conj(H) K H + gamma_x |P|^2,
-        this precision there: decoded, eps ~ N(0, Q) in pixels. A zero
-        gamma_x draws no w_2.
+        this precision there: decoded, eps ~ N(0, Q) in pixels.
         """
         spectra = self.spectra
-        terms = 2 if self.gamma_x > 0 else 1
         rows, cols = spectra.shape
-        z = standard_normal_vector(rng, terms * rows * cols).reshape(terms, -1)
+        z = standard_normal_vector(rng, 2 * rows * cols).reshape(2, -1)
         w = z.take(spectra.noise_source, axis=1)
         w *= spectra.noise_weight
-        classes = w.view(complex).reshape(terms, *spectra.coord_blur.shape)
+        classes = w.view(complex).reshape(2, *spectra.coord_blur.shape)
         out = spectra.coupling_sqrt @ classes[0]
         out *= math.sqrt(self.gamma_n) * spectra.coord_blur_conj
-        if self.gamma_x > 0:
-            out += (math.sqrt(self.gamma_x) * spectra.coord_penalty_conj) * classes[1]
+        out += (math.sqrt(self.gamma_x) * spectra.coord_penalty_conj) * classes[1]
         return out.reshape(-1).view(float)
 
     def sample(self, rng):
@@ -569,14 +578,13 @@ def simulate_data(truth, factor, offsets, blur_width, gamma_n_true, rng,
     truth = np.asarray(truth, dtype=float)
     if truth.ndim != 2:
         raise DimensionError(f"truth must be a 2-D image, got ndim={truth.ndim}")
+    check_noise_precision(gamma_n_true)
     shape = truth.shape
     blur, decimation, penalty = geometry_operators(shape, factor, offsets, blur_width)
     clean = decimation.apply(blur.apply(truth.ravel()))
     if math.isinf(gamma_n_true):
         data = clean
     else:
-        if not gamma_n_true > 0:
-            raise ValueError(f"gamma_n_true must be positive, got {gamma_n_true}")
         noise = standard_normal_vector(rng, clean.shape[0]) / math.sqrt(gamma_n_true)
         data = clean + noise
     return SuperResModel(
@@ -590,19 +598,16 @@ def build_precision(model, hp):
     """Posterior precision of x | data, hyperparams.
 
     Q = gamma_n * forward^T forward + gamma_x * penalty^T penalty, with
-    b = Q m = gamma_n * forward^T data. A zero gamma_x drops the penalty
-    term entirely. The result is a `SpectralPrecision` when the model has
-    ``spectra`` (circulant blur and penalty), a `GramPrecision` formed from
-    the model's ``grams`` when forward and penalty are matrices, else a
-    factored `PrecisionModel`.
+    b = Q m = gamma_n * forward^T data. The result is a `SpectralPrecision`
+    when the model has ``spectra`` (circulant blur and penalty), a
+    `GramPrecision` formed from the model's ``grams`` when forward and
+    penalty are matrices, else a factored `PrecisionModel`.
     """
     b = hp.gamma_n * model._forward_t_data
     if model.spectra is not None:
         return SpectralPrecision(model.spectra, hp.gamma_n, hp.gamma_x, b,
                                  hp.gamma_n * model._forward_t_data_coords)
-    factors = [(model.forward, hp.gamma_n)]
-    if hp.gamma_x > 0:
-        factors.append((model.penalty, hp.gamma_x))
+    factors = [(model.forward, hp.gamma_n), (model.penalty, hp.gamma_x)]
     if model.grams is None:
         return PrecisionModel(model.n_pixels, factors, b)
     gram_fwd, gram_pen = model.grams
@@ -610,19 +615,14 @@ def build_precision(model, hp):
     return GramPrecision(model.n_pixels, factors, b, matrix)
 
 
-def sample_hyperparams(model, x, rng, literal_shapes=False, u=None):
+def sample_hyperparams(model, x, rng, u=None):
     """Draw (gamma_n, gamma_x) from their Gamma conditionals at the image x.
 
-    Default shapes follow from counting degrees of freedom: the likelihood
-    holds n_data residuals, and the rank of the Laplacian penalty is
-    n_pixels - 1, so
+    The shapes count degrees of freedom: the likelihood holds n_data
+    residuals, and the rank of the Laplacian penalty is n_pixels - 1, so
 
         gamma_n ~ Gamma(alpha_n + n_data / 2,    1 / (beta_n + |data - forward x|^2 / 2))
         gamma_x ~ Gamma(alpha_x + penalty_rank/2, 1 / (beta_x + |penalty x|^2 / 2))
-
-    ``literal_shapes=True`` swaps the shape exponents to the alternate
-    convention (noise: n_pixels / 2, prior: (n_data - 1) / 2) so the two
-    variants can be compared head to head.
 
     The norms are those of `SuperResModel.theta_norms`, read off x's
     coordinates u in the x-step where the caller passes them.
@@ -630,12 +630,8 @@ def sample_hyperparams(model, x, rng, literal_shapes=False, u=None):
     noise_ss, rough_ss = model.theta_norms(u, x)
     if not (np.isfinite(noise_ss) and np.isfinite(rough_ss)):
         raise ValueError("non-finite residual norms; the chain state is invalid")
-    if literal_shapes:
-        shape_n = model.alpha_n + model.n_pixels / 2.0
-        shape_x = model.alpha_x + (model.n_data - 1) / 2.0
-    else:
-        shape_n = model.alpha_n + model.n_data / 2.0
-        shape_x = model.alpha_x + model.penalty_rank / 2.0
+    shape_n = model.alpha_n + model.n_data / 2.0
+    shape_x = model.alpha_x + model.penalty_rank / 2.0
     denom_n = model.beta_n + noise_ss / 2.0
     denom_x = model.beta_x + rough_ss / 2.0
     if denom_n <= 0:
@@ -651,12 +647,11 @@ class SuperResThetaModel(ThetaModel):
     """Engine hooks for the super-resolution posterior: theta is drawn from
     x, read through its x-step coordinates where the chain holds them."""
 
-    def __init__(self, model, literal_shapes=False):
+    def __init__(self, model):
         self.model = model
-        self.literal_shapes = bool(literal_shapes)
 
     def sample_theta(self, x, rng, u):
-        return sample_hyperparams(self.model, x, rng, self.literal_shapes, u)
+        return sample_hyperparams(self.model, x, rng, u)
 
     def precision_at(self, theta):
         return build_precision(self.model, theta)
@@ -690,7 +685,7 @@ class SuperResResult:
         return self.record.theta_std("gamma_x")
 
 
-def run_superres(model, cfg, literal_shapes=False, step=gsgs_step):
+def run_superres(model, cfg, step=gsgs_step):
     """Run the Gibbs chain on a super-resolution model.
 
     Returns the posterior mean and pixelwise standard deviation computed from
@@ -703,7 +698,7 @@ def run_superres(model, cfg, literal_shapes=False, step=gsgs_step):
             "running without gradient perturbation: chain convergence is not "
             "guaranteed and the posterior spread is typically underestimated"
         )
-    theta_model = SuperResThetaModel(model, literal_shapes=literal_shapes)
+    theta_model = SuperResThetaModel(model)
     record = run_chain(theta_model, model.backprojection(), cfg, step=step)
     shape = model.hr_shape
     return SuperResResult(

@@ -194,6 +194,28 @@ def test_run_rejects_bad_chain_settings_before_writing(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("simulate", "--gamma-n", "-1", "gamma_n_true"),
+    ("simulate", "--gamma-n", "0", "gamma_n_true"),
+    ("simulate", "--gamma-n", "nan", "gamma_n_true"),
+    ("simulate", "--alpha-n", "-1", "alpha_n"),
+    ("simulate", "--beta-x", "-2", "beta_x"),
+    ("run", "--alpha-n", "-1", "alpha_n"),
+    ("run", "--beta-x", "-2", "beta_x"),
+    ("run", "--alpha-n", "nan", "alpha_n"),
+    ("run", "--beta-x", "inf", "beta_x"),
+])
+def test_bad_model_parameters_are_usage_errors_before_writing(tmp_path, capsys, command,
+                                                              flag, value, key):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
+    capsys.readouterr()
+    where = ["--data-dir", sim] if command == "run" else GRID
+    assert run_cli(command, *where, "-o", out, *SMALL, flag, value) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("width", ["0", "-2"])
 def test_simulate_rejects_bad_blur_width_before_writing(tmp_path, capsys, width):
     out = tmp_path / "sim"
@@ -273,20 +295,6 @@ def test_run_warns_without_perturbation(tmp_path, capsys, caplog):
     assert "convergence is not guaranteed" not in capsys.readouterr().err
 
 
-def test_run_literal_shapes_flag_is_recorded_and_active(tmp_path):
-    sim = tmp_path / "sim"
-    assert run_cli("simulate", "-o", sim, "--seed", "5", *GRID, *SMALL) == 0
-    plain, literal = tmp_path / "plain", tmp_path / "literal"
-    assert run_cli("run", "--data-dir", sim, "-o", plain, "--seed", "5", *SMALL) == 0
-    assert run_cli("run", "--data-dir", sim, "-o", literal, "--seed", "5",
-                   "--paper-literal-shapes", *SMALL) == 0
-    cfg = json.loads((literal / "resolved_config.json").read_text())
-    assert cfg["paper_literal_shapes"] is True
-    a = json.loads((plain / "report.json").read_text())["gamma_x_hat"]
-    b = json.loads((literal / "report.json").read_text())["gamma_x_hat"]
-    assert a != b
-
-
 def test_run_without_data_errors(tmp_path):
     assert run_cli("run", "-o", tmp_path / "nowhere") == 1
 
@@ -307,6 +315,55 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert run_cli("simulate", "--config", cfg_path, "-o", tmp_path / "x") == 2
 
 
+# A resolved_config.json as `gsgs simulate -o gsgs-out` wrote it before
+# paper_literal_shapes was retired: every key of that version.
+OLD_RESOLVED_CONFIG = """{
+  "alpha_n": 0.0,
+  "alpha_x": 0.0,
+  "beta_n": 0.0,
+  "beta_x": 0.0,
+  "blur_width": 5,
+  "burn_in": 500,
+  "cols": 64,
+  "data_dir": "",
+  "factor": 2,
+  "gamma_n_true": 1.0,
+  "max_iters": 2000,
+  "n_dirs": 10,
+  "offsets": [
+    [
+      0,
+      0
+    ],
+    [
+      1,
+      0
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "output_dir": "gsgs-out",
+  "paper_literal_shapes": false,
+  "perturbation": "factored_q",
+  "rows": 64,
+  "seed": 0,
+  "thinning": 10
+}
+"""
+
+
+def test_resolved_config_with_the_retired_literal_shapes_still_reads(tmp_path):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
+    cfg_path.write_text(OLD_RESOLVED_CONFIG)
+    assert run_cli("simulate", "--config", cfg_path, "-o", out) == 0
+    old = json.loads(OLD_RESOLVED_CONFIG)
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    del old["paper_literal_shapes"], old["output_dir"], resolved["output_dir"]
+    assert resolved == old
+
+
 def test_config_with_the_retired_perturbation_period_of_one_still_reads(tmp_path):
     # Earlier resolved_config.json files record "perturbation_period": 1.
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
@@ -325,6 +382,7 @@ def test_config_with_the_retired_perturbation_period_of_one_still_reads(tmp_path
     ('{"offsets": [["a", 0]]}', "offsets"),  # a pair that is not integers
     ('{"offsets": [[true, 0]]}', "offsets"),  # bool is not an integer
     ('{"perturbation_period": 3}', "perturbation_period"),  # retired, only 1 reads
+    ('{"paper_literal_shapes": true}', "paper_literal_shapes"),  # retired, only false reads
 ])
 def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, text, named):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
@@ -368,6 +426,7 @@ def test_multi_chain_rejects_non_integer_thread_cap(tmp_path, monkeypatch, capsy
                    "--seed", "5", *SMALL) == 1
     err = capsys.readouterr().err
     assert "GSGS_THREADS" in err and "'two'" in err
+    assert not out.exists()
 
 
 def test_diagnose_missing_chain_errors(tmp_path):
@@ -424,3 +483,16 @@ def test_readme_names_only_flags_the_parser_knows():
     known = {flag for command in commands.values() for action in command._actions
              for flag in action.option_strings}
     assert sorted(named - known) == []
+
+
+def test_every_config_flag_sets_a_run_config_field():
+    # RunConfig.resolve reads a flag only through a RunConfig field of its
+    # dest, so a flag whose field is gone would parse and do nothing.
+    fields = set(RunConfig.__dataclass_fields__)
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name in ("simulate", "run"):
+        dests = {action.dest for action in commands[name]._actions
+                 if action.option_strings and action.dest != "help"}
+        assert sorted(dests - fields - {"config", "chains"}) == [], name
+        assert sorted(fields - dests - {"offsets"}) == [], name

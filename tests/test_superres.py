@@ -7,6 +7,7 @@ import pytest
 
 from gsgs import (
     ChainState,
+    ConfigurationError,
     DegenerateScaleError,
     FixedGaussianModel,
     GsgsConfig,
@@ -86,16 +87,6 @@ def test_full_scale_configuration_is_constructible():
     assert out.shape == (256 * 256,)
 
 
-def test_build_precision_single_factor_when_prior_off():
-    model = small_model(seed=4)
-    precision = build_precision(model, Hyperparams(gamma_n=1.0, gamma_x=0.0))
-    # The spectral form keeps no prior term when gamma_x is zero.
-    assert precision.coordinates.prior_spectrum is None
-    x = RngState(5).generator.standard_normal(model.n_pixels)
-    expected = model.forward.adjoint_apply(model.forward.apply(x))
-    np.testing.assert_allclose(precision.apply(x), expected, atol=1e-12)
-
-
 def test_densified_precision_matches_explicit_grams():
     model = small_model(seed=6)
     hp = Hyperparams(gamma_n=0.7, gamma_x=2.5)
@@ -115,7 +106,7 @@ def test_densified_precision_matches_explicit_grams():
         ((8, 8), 2, ((0, 0), (1, 1), (0, 0))),  # repeated offset: mask = 2
     ],
 )
-@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+@pytest.mark.parametrize("gamma_x", [2.5])
 def test_spectral_precision_matches_explicit_grams(shape, factor, frames, gamma_x):
     model = simulate_data(phantom(shape), factor, frames, 3, 1.0, RngState(40))
     assert model.decimation.coverage().max() == max(frames.count(f) for f in frames)
@@ -206,7 +197,7 @@ def test_theta_norms_fall_back_where_the_residual_cancels():
     assert (got.gamma_n, got.gamma_x) == want
 
 
-@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+@pytest.mark.parametrize("gamma_x", [2.5])
 def test_gram_precision_matches_factored_formulas(gamma_x):
     # Dense maps: Q applied as one matrix must be sum_k M_k^T w_k M_k x, and
     # the N(0, Q) draw must stay the factored one, value for value.
@@ -217,18 +208,16 @@ def test_gram_precision_matches_factored_formulas(gamma_x):
     fwd, pen = model.forward.matrix, model.penalty.matrix
     x = np.random.default_rng(48).standard_normal(model.n_pixels)
     want = hp.gamma_n * fwd.T @ (fwd @ x)
-    if gamma_x > 0:
-        want += hp.gamma_x * pen.T @ (pen @ x)
+    want += hp.gamma_x * pen.T @ (pen @ x)
     assert np.linalg.norm(precision.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
 
     gen = RngState(49).generator
     z_data = gen.standard_normal(model.n_data)
     z_data *= np.sqrt(hp.gamma_n)
     eps = fwd.T @ z_data
-    if gamma_x > 0:
-        z_pix = gen.standard_normal(model.n_pixels)
-        z_pix *= np.sqrt(hp.gamma_x)
-        eps = eps + pen.T @ z_pix
+    z_pix = gen.standard_normal(model.n_pixels)
+    z_pix *= np.sqrt(hp.gamma_x)
+    eps = eps + pen.T @ z_pix
     assert np.array_equal(precision.draw_noise(RngState(49)), eps)
 
 
@@ -248,6 +237,23 @@ def test_hyperparams_validation():
         Hyperparams(gamma_n=0.0, gamma_x=1.0)
     with pytest.raises(ValueError):
         Hyperparams(gamma_n=1.0, gamma_x=-1.0)
+    # A Gamma draw is never zero, so no chain switches the prior off.
+    with pytest.raises(ValueError, match="gamma_x"):
+        Hyperparams(gamma_n=1.0, gamma_x=0.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha_n", -1.0), ("beta_n", math.nan), ("alpha_x", math.inf), ("beta_x", -2.0),
+])
+def test_model_rejects_bad_hyperpriors_naming_the_key(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        small_model(**{key: value})
+
+
+@pytest.mark.parametrize("gamma_n_true", [-1.0, 0.0, math.nan])
+def test_simulate_rejects_a_bad_noise_precision(gamma_n_true):
+    with pytest.raises(ConfigurationError, match="gamma_n_true"):
+        small_model(noise=gamma_n_true)
 
 
 def test_hyperparam_conditional_mean():
@@ -270,38 +276,6 @@ def test_zero_image_degenerates_prior_scale():
     model = small_model(seed=10)
     with pytest.raises(DegenerateScaleError):
         sample_hyperparams(model, np.zeros(model.n_pixels), RngState(0))
-
-
-def test_literal_shapes_swap_the_exponents():
-    # One frame at factor 2: n_data = n_pixels / 4, so the two conventions
-    # differ by exactly 4x in the noise shape.
-    model = small_model(shape=(16, 16), frames=((0, 0),), seed=11, dense=True)
-    x = model.backprojection()
-    rng = RngState(12)
-    corrected = np.array(
-        [sample_hyperparams(model, x, rng).gamma_n for _ in range(4 * 10**4)]
-    )
-    literal = np.array(
-        [sample_hyperparams(model, x, rng, literal_shapes=True).gamma_n
-         for _ in range(4 * 10**4)]
-    )
-    ratio = literal.mean() / corrected.mean()
-    assert abs(ratio - model.n_pixels / model.n_data) < 0.2
-
-
-def test_po_perturbation_identity_forward_variance():
-    # With the penalty off and the forward map the identity, the perturbation
-    # is N(0, gamma_n I).
-    ident = make_circulant((4, 4), [[1.0]], anchor=(0, 0))
-    dec = DecimationOperator((4, 4), 1, [(0, 0)])
-    model = SuperResModel(
-        blur=ident, decimation=dec, penalty=make_circulant((4, 4), [[-1, 2, -1]]),
-        data=np.zeros(16), hr_shape=(4, 4),
-    )
-    rng = RngState(13)
-    precision = build_precision(model, Hyperparams(4.0, 0.0))
-    draws = np.array([pixel_noise(precision, rng) for _ in range(3 * 10**4)])
-    assert np.abs(draws.var(axis=0) - 4.0).max() < 0.2
 
 
 def test_po_perturbation_covariance_matches_precision():
@@ -359,7 +333,7 @@ def identity_model_4x4():
     lambda: simulate_data(phantom((6, 10)), 2, ((0, 0), (1, 0), (0, 1)), 3, 1.0, RngState(52)),
     identity_model_4x4,
 ], ids=["8x12-f2", "9x6-f3-repeated", "6x10-f2-odd", "4x4-f1"])
-@pytest.mark.parametrize("gamma_x", [0.0, 2.5])
+@pytest.mark.parametrize("gamma_x", [2.5])
 def test_spectral_noise_is_exactly_n_0_q(build, gamma_x):
     # The noise draw is linear in its normals: fed unit vectors, it gives its
     # matrix L, and decode L must have covariance Q exactly. Its draws lie
@@ -367,7 +341,7 @@ def test_spectral_noise_is_exactly_n_0_q(build, gamma_x):
     model = build()
     precision = build_precision(model, Hyperparams(gamma_n=0.7, gamma_x=gamma_x))
     coords = precision.coordinates
-    n_normals = model.n_pixels * (2 if gamma_x > 0 else 1)
+    n_normals = 2 * model.n_pixels
     counter = PresetNormals(np.zeros(n_normals))
     coords.draw_noise(counter)
     assert counter.taken == n_normals
