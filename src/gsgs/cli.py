@@ -11,11 +11,12 @@ import csv
 import ctypes
 import json
 import logging
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,7 @@ class RunConfig:
             unknown = set(loaded) - set(values)
             if unknown:
                 raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            loaded = {key: _read_float(key, value) for key, value in loaded.items()}
             for key, value in loaded.items():
                 # A float setting also takes a JSON integer; bool is not int.
                 kind = type(values[key])
@@ -147,9 +149,34 @@ class RunConfig:
         )
 
     def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
+
+
+FLOAT_KEYS = frozenset(f.name for f in fields(RunConfig) if f.type is float)
+NON_FINITE = ("inf", "-inf", "nan")
+
+
+def _write_json(path, obj):
+    """Write ``obj`` as strict JSON, each non-finite float as the string
+    "inf", "-inf" or "nan"."""
+    def finite(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return str(value)
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    with open(path, "w") as fh:
+        json.dump(finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _read_float(key, value):
+    """A setting as read from JSON: a float setting's "inf", "-inf" or "nan"
+    reads as that float."""
+    return float(value) if key in FLOAT_KEYS and value in NON_FINITE else value
 
 
 def _ensure_writable(directory):
@@ -191,9 +218,7 @@ def cmd_simulate(args):
         "blur_anchor": "centered",
         "config": asdict(cfg),
     }
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)
     cfg.dump(out / "resolved_config.json")
     print(f"wrote {out}/y.f64 ({model.n_data} values), truth.f64, meta.json")
     return 0
@@ -221,7 +246,7 @@ def _data_settings(cfg):
     missing = [key for key in GEOMETRY_KEYS if key not in recorded]
     if missing:
         raise GsgsError(f"{meta_path} lacks config keys {missing}")
-    return {key: recorded.get(key) for key in DATA_KEYS}
+    return {key: _read_float(key, recorded.get(key)) for key in DATA_KEYS}
 
 
 def _load_model(cfg):
@@ -312,9 +337,7 @@ def _single_run(cfg, seed, out):
         report["truth_rel_error"] = float(
             np.linalg.norm(err) / np.linalg.norm(model.truth)
         )
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     cfg.dump(out / "resolved_config.json")
     return report
 
@@ -366,9 +389,7 @@ def cmd_run(args):
             "gamma_x_hat": float(np.mean([r["gamma_x_hat"] for r in reports])),
             "blas_threads": _blas_threads(),
         }
-        with open(out / "report.json", "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "report.json", merged)
         cfg.dump(out / "resolved_config.json")
     _print_estimate_table(reports)
     return 0
@@ -421,9 +442,7 @@ def cmd_diagnose(args):
         text_lines.append(line)
     print("\n".join(text_lines))
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, report)
     return 0
 
 
@@ -431,10 +450,8 @@ def cmd_validate(args):
     results = run_suite(args.suite, seed=args.seed)
     print(format_results(results))
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({**results_report(args.suite, args.seed, results),
-                       "blas_threads": _blas_threads()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, {**results_report(args.suite, args.seed, results),
+                                  "blas_threads": _blas_threads()})
     return 0 if all(r.passed for r in results if r.gating) else 1
 
 

@@ -14,15 +14,16 @@ pixels, so it is its own coordinate face.
 
 `build_conjugate_set` grows, in whatever coordinates its precision works in,
 a set of directions that are mutually conjugate with respect to Q (a
-three-term Krylov recurrence; the first ``BLOCK`` directions are
-re-conjugated per step against all earlier ones, and every later block of
-``BLOCK`` directions once, by a block step that records its Gram-Schmidt
+three-term Krylov recurrence; a set of at most ``BLOCK`` directions is
+re-conjugated per step against all earlier ones, and a larger one once per
+block of ``BLOCK`` directions, by a block step that records its Gram-Schmidt
 coefficients in a triangular transform of the rows instead of rewriting
 them), and `sample_along` draws the exact Gaussian coefficients of the target
 N(m, Q^{-1}) along those directions. With a full set (as many directions as
 dimensions) one call produces an exact draw from the target; with fewer it
 is an exact draw from the conditional restricted to the spanned affine
-subspace. The build writes each direction in place in its row of one store.
+subspace. The build writes each direction in place in its row of one store,
+which also holds the images Q d of at most ``BLOCK`` + 2 rows.
 
 Vector products on the per-iteration path, here and in the engine, the
 operators and the models, call ``ndarray.dot``, not ``@``: at these shapes
@@ -156,11 +157,11 @@ class ConjugateSet:
     The directions are ``transform @ rows``: ``rows`` holds unit rows as the
     build left them, and ``transform`` a lower-triangular matrix that
     re-conjugates them, or None where the rows are the directions already
-    (sets of at most ``BLOCK`` directions). ``directions`` forms them on
-    first access. ``curvatures`` holds c_n = d_n^T Q d_n, all strictly
-    positive. The images Q d_n are not kept by the build; ``q_directions``
-    applies the precision to each direction on first access and keeps the
-    result.
+    (sets of at most ``BLOCK`` directions, and sets the build finished with
+    full passes). ``directions`` forms them on first access. ``curvatures``
+    holds c_n = d_n^T Q d_n, all strictly positive. The images Q d_n are
+    not kept by the build; ``q_directions`` applies the precision to each
+    direction on first access and keeps the result.
     """
 
     __slots__ = ("rows", "transform", "curvatures", "precision", "_directions",
@@ -218,27 +219,31 @@ def build_conjugate_set(precision, d1, n_dirs):
     the Krylov space K_k(Q, d1). In exact arithmetic Q d_{k-1} is conjugate
     to all kept directions but d_{k-1} and d_{k-2}; the three-term step
     (CG/Lanczos) removes those two Q-projections. Rounding leaks the
-    candidate onto the older directions, which is removed in two tiers. The
-    first ``BLOCK`` directions each get one classical Gram-Schmidt pass in
-    the Q inner product over all earlier directions. After them each step is
-    the three-term step alone, and when a block of ``BLOCK`` rows fills, and
-    once more before returning, one block step records the block's
-    classical Gram-Schmidt coefficients, against the older directions and
-    among its own rows, without applying them: the directions are
-    D = T R, with R the unit rows the three-term step built and T lower
-    triangular, and a block's rows of T are [-C T_old | I - E], with C the
-    rows' Q-projections onto the older directions and E the strictly lower
-    ones among the block's rows. One matrix-matrix product, the block's
-    images against every row, gives both. The three-term step keeps the set
+    candidate onto the older directions, which is removed in one of two
+    ways. In a set of at most ``BLOCK`` directions each direction gets one
+    classical Gram-Schmidt pass in the Q inner product over all earlier
+    directions. In a larger set each step is the three-term step alone, and
+    when a block of ``BLOCK`` rows fills, the first included, and once more
+    before returning, one block step records the block's classical
+    Gram-Schmidt coefficients, against the older directions and among its
+    own rows, without applying them: the directions are D = T R, with R the
+    unit rows the three-term step built and T lower triangular, and a
+    block's rows of T are [-C T_old | I - E], with C the rows'
+    Q-projections onto the older directions and E the strictly lower ones
+    among the block's rows. One matrix-matrix product, the block's images
+    against every row, gives both. The three-term step keeps the set
     conjugate to rounding over a block (the leak grows only as Ritz values
     converge), so the O(n_dirs^2 * dim) re-conjugation reads the rows once
     per block instead of once per direction, and what one first-order step
     leaves is second order in the leak. Before the next three-term step the
     block's last two rows are replaced by their directions and Q applied to
-    them. If a block row has leaked more than ``BLOCK_TOL`` onto any earlier
-    row (near-full sets), one block step cannot be trusted to clean it: it
-    and the rest of the block are dropped, every row is replaced by its
-    direction, and the build finishes with one full pass per step.
+    them. Only the open block and those two rows read their images, so the
+    build keeps a window of ``BLOCK`` + 2 images, the two rows' at its top.
+    If a block row has leaked more than ``BLOCK_TOL`` onto any earlier row
+    (near-full sets), one block step cannot be trusted to clean it: it and
+    the rest of the block are dropped, every row is replaced by its
+    direction and gets its image, and the build finishes with one full pass
+    per step.
 
     Construction stops early -- returning a shorter set -- when the candidate
     collapses during orthogonalization (Krylov breakdown, e.g. repeated
@@ -268,7 +273,7 @@ def build_conjugate_set(precision, d1, n_dirs):
     # C allocator one free region, which it keeps for the next call. Separate
     # blocks together crossed glibc's heap-trim threshold, so every call
     # returned the pages to the OS and faulted them in again.
-    store = np.empty((2 * n_dirs, n))
+    store = np.empty((n_dirs + min(n_dirs, BLOCK + 2), n))
     dirs, imgs = store[:n_dirs], store[n_dirs:]
     curv = np.empty(n_dirs)
     # The directions are tf @ dirs; without tf, the rows are the directions.
@@ -282,27 +287,32 @@ def build_conjugate_set(precision, d1, n_dirs):
     drop = CURVATURE_DROP * c
 
     # Rows start:k form the open block; rows :start are conjugated already.
-    # A full pass per step runs while start is 0.
+    # Without tf, imgs holds every row's image and each step runs a full
+    # pass; with it, imgs holds the images of rows base:k only.
     k, start, stop = 1, 0, min(BLOCK, n_dirs)
     while True:
-        k, stopped = _extend(precision, dirs, imgs, curv, k, stop, not start, drop)
-        if start:
-            kept = _conjugate_block(dirs, imgs, curv, tf, start, k)
+        base = max(start - 2, 0)
+        k, stopped = _extend(precision, dirs[base:], imgs, curv[base:], k - base,
+                             stop - base, tf is None, drop)
+        k += base
+        if tf is not None:
+            kept = _conjugate_block(dirs, imgs[start - base:k - base], curv, tf, start, k)
             if kept < k:
                 # Leaked too far for one block step: finish one row at a time
                 # with full passes, on the directions and their images.
-                _materialize(precision, dirs, imgs, curv, tf, BLOCK, kept)
+                imgs = np.empty((n_dirs, n))
+                _materialize(precision, dirs, imgs, curv, tf, 0, kept)
                 k, start, stop, tf = kept, 0, n_dirs, None
                 continue
         if stopped or k == n_dirs:
             break
-        if start:
-            # The next three-term steps read the last two directions.
+        if tf is not None:
+            # The next three-term steps read the last two directions, whose
+            # images go to the top of the window.
             _materialize(precision, dirs, imgs, curv, tf, k - 2, k)
         start, stop = k, min(k + BLOCK, n_dirs)
 
-    return ConjugateSet(dirs[:k], curv[:k], precision,
-                        None if tf is None or k <= BLOCK else tf[:k, :k])
+    return ConjugateSet(dirs[:k], curv[:k], precision, None if tf is None else tf[:k, :k])
 
 
 def _extend(precision, dirs, imgs, curv, k, stop, full, drop):
@@ -332,8 +342,9 @@ def _extend(precision, dirs, imgs, curv, k, stop, full, drop):
 
 
 def _conjugate_block(dirs, imgs, curv, tf, start, stop):
-    """Record in ``tf`` the re-conjugation of rows start:stop against the
-    directions tf[:start] @ dirs and among themselves.
+    """Record in ``tf`` the re-conjugation of rows start:stop, whose images
+    are ``imgs``, against the directions tf[:start] @ dirs and among
+    themselves.
 
     A row whose defect against any earlier row, |d_i^T Q d_j| / sqrt(c_i c_j),
     exceeds ``BLOCK_TOL`` is dropped with every later row. Returns the row
@@ -344,7 +355,7 @@ def _conjugate_block(dirs, imgs, curv, tf, start, stop):
     old, blk = slice(0, start), slice(start, stop)
     # Q inner products of the block's rows with every row, then with the
     # older directions; within the block only those with earlier rows count.
-    inner = imgs[blk] @ dirs[:stop].T
+    inner = imgs @ dirs[:stop].T
     cross = np.hstack([inner[:, old] @ tf[old, old].T, np.tril(inner[:, blk], -1)])
     scale = np.sqrt(curv[:stop])
     defect = (np.abs(cross) / scale).max(axis=1) / scale[blk]
@@ -359,12 +370,13 @@ def _conjugate_block(dirs, imgs, curv, tf, start, stop):
 
 
 def _materialize(precision, dirs, imgs, curv, tf, lo, hi):
-    """Replace rows lo:hi by their directions, with images and curvatures."""
+    """Replace rows lo:hi by their directions, with their curvatures, and
+    write their images to imgs[:hi - lo]."""
     dirs[lo:hi] = tf[lo:hi, :hi] @ dirs[:hi]
     tf[lo:hi] = np.eye(hi - lo, len(tf), lo)
     for i in range(lo, hi):
-        imgs[i] = precision.apply(dirs[i])
-        curv[i] = dirs[i] @ imgs[i]
+        imgs[i - lo] = precision.apply(dirs[i])
+        curv[i] = dirs[i] @ imgs[i - lo]
 
 
 def sample_along(precision, cset, x0, rng, gradient=None):

@@ -383,6 +383,8 @@ def test_config_with_the_retired_perturbation_period_of_one_still_reads(tmp_path
     ('{"offsets": [[true, 0]]}', "offsets"),  # bool is not an integer
     ('{"perturbation_period": 3}', "perturbation_period"),  # retired, only 1 reads
     ('{"paper_literal_shapes": true}', "paper_literal_shapes"),  # retired, only false reads
+    ('{"alpha_n": "-inf"}', "alpha_n"),  # reads as -inf, which is not a hyperprior
+    ('{"n_dirs": "inf"}', "n_dirs"),  # only a float setting reads "inf" as a number
 ])
 def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, text, named):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim"
@@ -390,6 +392,31 @@ def test_malformed_config_file_is_usage_error_before_writing(tmp_path, capsys, t
     assert run_cli("simulate", "--config", cfg_path, "-o", out, *GRID) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def read_strict_json(path):
+    """A JSON file parsed with a parser that rejects Infinity and NaN."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_noise_free_settings_are_strict_json_and_read_back(tmp_path):
+    # A noise-free simulation records gamma_n_true = inf as the string "inf",
+    # which `run` (meta.json) and `--config` read back as the float.
+    sim, out, again = tmp_path / "sim", tmp_path / "run", tmp_path / "again"
+    assert run_cli("simulate", "-o", sim, "--gamma-n", "inf", "--seed", "5", *GRID,
+                   *SMALL) == 0
+    assert run_cli("run", "--data-dir", sim, "-o", out, "--seed", "5", *SMALL) == 0
+    assert read_strict_json(sim / "meta.json")["config"]["gamma_n_true"] == "inf"
+    for path in (sim / "resolved_config.json", out / "resolved_config.json"):
+        assert read_strict_json(path)["gamma_n_true"] == "inf"
+    read_strict_json(out / "report.json")
+    cfg = RunConfig.resolve(argparse.Namespace(config=str(sim / "resolved_config.json")))
+    assert cfg.gamma_n_true == float("inf")
+    assert run_cli("simulate", "--config", sim / "resolved_config.json", "-o", again) == 0
+    assert (again / "y.f64").read_bytes() == (sim / "y.f64").read_bytes()
+    assert read_strict_json(again / "meta.json")["config"]["gamma_n_true"] == "inf"
 
 
 def test_multi_chain_fanout(tmp_path, monkeypatch):

@@ -130,6 +130,14 @@ def test_near_full_dimension_set_stays_conjugate(gamma_x):
     cset = build_conjugate_set(precision, d1, 256)
     assert len(cset) >= 240
     assert cset.conjugacy_defect() <= 1e-8
+    # The leak trips the block step's guard here, so the build forms the
+    # directions and ends on full passes: the curvatures and images it
+    # works from must be the formed directions' own.
+    assert cset.transform is None
+    fresh = np.array([precision.apply(d) for d in cset.directions])
+    assert np.array_equal(cset.q_directions, fresh)
+    curv = np.einsum("ij,ij->i", cset.directions, fresh)
+    assert np.abs(cset.curvatures / curv - 1.0).max() <= 1e-13
 
 
 def full_pass_reference(precision, d1, n_dirs):
@@ -255,7 +263,7 @@ def test_block_step_checks_the_leak_within_its_block():
     imgs = dirs * q
     curv = np.einsum("ij,ij->i", dirs, imgs)
     tf = np.eye(stop)
-    kept = _conjugate_block(dirs, imgs, curv, tf, start, stop)
+    kept = _conjugate_block(dirs, imgs[start:], curv, tf, start, stop)
     assert kept == start + 3
     formed = tf[:kept, :kept] @ dirs[:kept]
     gram = (formed * q) @ formed.T
@@ -277,8 +285,8 @@ class CountingPrecision:
 
 @pytest.mark.parametrize("gamma_x", [1.0, 1e4, 6e6])
 def test_block_steps_keep_desk_k150_conjugate_to_rounding(gamma_x):
-    # Past the first block each step is the three-term step alone, and the
-    # block step records the re-conjugation of each block of 32 in the
+    # Each step is the three-term step alone, and the block step records
+    # the re-conjugation of each block of 32, the first included, in the
     # transform: within a block the leak reaches about 1e-10 against the
     # older rows and 1e-12 among the block's own rows, and what one
     # first-order step leaves, second order in the leak, is below rounding.
@@ -289,7 +297,7 @@ def test_block_steps_keep_desk_k150_conjugate_to_rounding(gamma_x):
     # One Q-apply per direction, plus two after each block step the build
     # goes on from, for the block's last two rows once replaced by their
     # directions: the guard never trips, and no other image is recomputed.
-    assert precision.calls == 150 + 2 * (150 // BLOCK - 1)
+    assert precision.calls == 150 + 2 * (150 // BLOCK)
     assert cset.conjugacy_defect() <= 1e-13
 
 
@@ -330,7 +338,7 @@ def test_q_directions_are_the_precision_applied_per_row(model, n_dirs):
 
 
 def test_build_allocates_one_store():
-    # Rows and their images share one allocation of 2 * n_dirs rows; the
+    # Rows and the window of BLOCK + 2 images share one allocation; the
     # transform (n_dirs^2 values, about five rows here) and the block step's
     # temporary vectors add no more than BLOCK rows.
     precision = desk_coordinates(1.0)
@@ -345,7 +353,7 @@ def test_build_allocates_one_store():
     finally:
         tracemalloc.stop()
     assert len(cset) == n_dirs
-    assert peak <= (2 * n_dirs + BLOCK) * row
+    assert peak <= (n_dirs + 2 * BLOCK + 2) * row
 
 
 @pytest.mark.parametrize("n_dirs, early_stop", [(1, False), (BLOCK, False), (80, False),
